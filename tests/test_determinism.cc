@@ -16,8 +16,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/common/event_log.h"
 #include "src/core/network.h"
@@ -115,6 +117,208 @@ void CheckAgainstRecording(const std::string& name, const std::string& got) {
     FAIL() << name << ": logs differ in length only";
   }
   SUCCEED();
+}
+
+// --- data-plane timing recordings ----------------------------------------
+//
+// The merged log pins the control plane only.  These recordings pin the
+// data path to the tick: every tagged data packet's client delivery (time,
+// flags, arrival port), the begin and end arrival of every tagged packet at
+// every hop (cable or host link, receiving side), and per-switch FIFO
+// high-water marks, flow-control stops and forwarding counters.  They were
+// generated from the per-byte-event data path and must be reproduced
+// exactly by any later data-path model.
+
+constexpr std::uint16_t kTapEtherType = 0x88B5;
+
+std::uint64_t TagOf(const PacketRef& packet) {
+  std::uint64_t tag = 0;
+  for (int i = 0; i < 8; ++i) {
+    tag = tag << 8 | packet->payload[static_cast<std::size_t>(i)];
+  }
+  return tag;
+}
+
+bool IsTapped(const PacketRef& packet) {
+  return packet != nullptr && packet->type == PacketType::kEthernetEncap &&
+         packet->ether_type == kTapEtherType && packet->payload.size() >= 8;
+}
+
+// Collects the data-plane timeline of one scenario as text lines.
+class DataPlaneRecorder {
+ public:
+  explicit DataPlaneRecorder(Network* net) : net_(net) {
+    for (int c = 0; c < static_cast<int>(net->spec().cables.size()); ++c) {
+      Tap(&net->cable_at(c), "cable" + std::to_string(c));
+    }
+    for (int h = 0; h < net->num_hosts(); ++h) {
+      for (int w = 0; w < 2; ++w) {
+        if (net->spec().hosts[h].alt_switch < 0 && w == 1) {
+          continue;
+        }
+        Tap(&net->host_link(h, w),
+            "host" + std::to_string(h) + "." + std::to_string(w));
+      }
+    }
+    net->SetClientDeliveryHook([this](int host, const Delivery& d) {
+      if (!IsTapped(d.packet)) {
+        return;
+      }
+      std::ostringstream line;
+      line << "deliver host=" << host << " tag=" << TagOf(d.packet)
+           << " at=" << d.delivered_at << " corrupted=" << d.corrupted
+           << " truncated=" << d.truncated << " port=" << d.arrival_port;
+      lines_.push_back(line.str());
+    });
+  }
+
+  std::string Finish() {
+    std::ostringstream out;
+    for (const std::string& line : lines_) {
+      out << line << "\n";
+    }
+    for (int s = 0; s < net_->num_switches(); ++s) {
+      Switch& sw = net_->switch_at(s);
+      const std::string prefix = "switch." + sw.name() + ".";
+      const obs::MetricRegistry& reg = net_->sim().metrics();
+      auto counter = [&](const std::string& name) -> std::uint64_t {
+        const obs::MetricRegistry::Entry* e = reg.Find(name);
+        return e == nullptr ? 0 : e->counter.value();
+      };
+      auto gauge = [&](const std::string& name) -> double {
+        const obs::MetricRegistry::Entry* e = reg.Find(name);
+        return e == nullptr ? 0 : e->gauge.value();
+      };
+      Switch::Stats st = sw.stats();
+      out << "switch " << sw.name() << " flow_stops="
+          << counter(prefix + "link.flow_stops")
+          << " packets_forwarded=" << st.packets_forwarded
+          << " packets_discarded=" << st.packets_discarded
+          << " bytes_forwarded=" << st.bytes_forwarded
+          << " resets=" << st.resets << " fifo_hwm=";
+      for (PortNum p = 0; p < kPortsPerSwitch; ++p) {
+        out << (p == 0 ? "" : ",")
+            << gauge(prefix + "fabric.port" + std::to_string(p) +
+                       ".fifo_hwm_bytes");
+      }
+      out << "\n";
+    }
+    return out.str();
+  }
+
+ private:
+  void Tap(Link* link, std::string name) {
+    link->SetArrivalTap([this, link, name](Link::Side rx,
+                                           const PacketRef& packet, bool end,
+                                           EndFlags flags) {
+      if (!IsTapped(packet)) {
+        return;
+      }
+      std::ostringstream line;
+      line << (end ? "end   " : "begin ") << name << "."
+           << (rx == Link::Side::kA ? "A" : "B") << " tag=" << TagOf(packet)
+           << " at=" << link->sim()->now();
+      if (end) {
+        line << " truncated=" << flags.truncated
+             << " corrupted=" << flags.corrupted;
+      }
+      lines_.push_back(line.str());
+    });
+  }
+
+  Network* net_;
+  std::vector<std::string> lines_;
+};
+
+// Boots `spec` to a consistent, registered state and attaches a recorder.
+struct DataPlaneRig {
+  explicit DataPlaneRig(TopoSpec spec) : net(std::move(spec)) {
+    net.Boot();
+    EXPECT_TRUE(net.WaitForConsistency(5 * 60 * kSecond));
+    EXPECT_TRUE(net.WaitForHostsRegistered(net.sim().now() + 30 * kSecond));
+    recorder = std::make_unique<DataPlaneRecorder>(&net);
+  }
+  void Send(int src, int dst, std::size_t bytes, std::uint64_t tag) {
+    EXPECT_TRUE(net.SendTagged(src, dst, bytes, kTapEtherType, tag));
+  }
+
+  Network net;
+  std::unique_ptr<DataPlaneRecorder> recorder;
+};
+
+// (a) The five-hop MakeLine(6,1) transfer, as a back-to-back burst.
+std::string RunDataPlaneMultiHop() {
+  DataPlaneRig rig(MakeLine(6, 1));
+  for (std::uint64_t tag = 0; tag < 8; ++tag) {
+    rig.Send(0, 5, 1500, tag);
+  }
+  rig.net.Run(50 * kMillisecond);
+  return rig.recorder->Finish();
+}
+
+// (b) Congested fan-in: three hosts stream into one, so receive FIFOs pass
+// half-full and flow control stops upstream transmitters.
+std::string RunDataPlaneFanIn() {
+  DataPlaneRig rig(MakeLine(4, 1));
+  std::uint64_t tag = 0;
+  for (int round = 0; round < 12; ++round) {
+    for (int src : {0, 1, 2}) {
+      rig.Send(src, 3, 1500, tag++);
+    }
+  }
+  rig.net.Run(50 * kMillisecond);
+  return rig.recorder->Finish();
+}
+
+// (c) A cable cut while a packet is streaming across it (cable 4 is the
+// first inter-switch hop of the host 0 -> host 8 route).
+std::string RunDataPlaneCut() {
+  DataPlaneRig rig(MakeTorus(3, 3, 1));
+  for (std::uint64_t tag = 0; tag < 6; ++tag) {
+    rig.Send(0, rig.net.num_hosts() - 1, 1500, tag);
+  }
+  rig.net.Run(30 * kMicrosecond);
+  rig.net.CutCable(4);
+  rig.net.Run(200 * kMillisecond);
+  rig.net.RestoreCable(4);
+  rig.net.Run(200 * kMillisecond);
+  return rig.recorder->Finish();
+}
+
+// (d) A marginal cable: per-byte corruption on one hop of the line.
+std::string RunDataPlaneCorrupt() {
+  DataPlaneRig rig(MakeLine(6, 1));
+  rig.net.SetCableCorruptionRate(2, 2e-4);
+  for (std::uint64_t tag = 0; tag < 24; ++tag) {
+    rig.Send(0, 5, 1500, tag);
+    rig.Send(5, 0, 600, 1000 + tag);
+  }
+  rig.net.Run(100 * kMillisecond);
+  return rig.recorder->Finish();
+}
+
+TEST(DataPlaneTiming, MultiHopMatchesPerByteRecording) {
+  CheckAgainstRecording("dataplane_multihop.txt", RunDataPlaneMultiHop());
+}
+
+TEST(DataPlaneTiming, CongestedFanInMatchesPerByteRecording) {
+  std::string got = RunDataPlaneFanIn();
+  // The scenario must actually exercise flow control.
+  bool stopped = false;
+  for (std::size_t at = got.find("flow_stops="); at != std::string::npos;
+       at = got.find("flow_stops=", at + 1)) {
+    stopped = stopped || got[at + 11] != '0';
+  }
+  EXPECT_TRUE(stopped);
+  CheckAgainstRecording("dataplane_fanin.txt", got);
+}
+
+TEST(DataPlaneTiming, CutMidPacketMatchesPerByteRecording) {
+  CheckAgainstRecording("dataplane_cut.txt", RunDataPlaneCut());
+}
+
+TEST(DataPlaneTiming, CorruptedCableMatchesPerByteRecording) {
+  CheckAgainstRecording("dataplane_corrupt.txt", RunDataPlaneCorrupt());
 }
 
 TEST(Determinism, MultiHopTransferMatchesPreTrainRecording) {
