@@ -27,9 +27,8 @@ namespace {
 // The far end of the blocked output port: stops the switch permanently.
 class Stopper : public LinkEndpoint {
  public:
-  void OnPacketBegin(const PacketRef&) override {}
-  void OnDataByte(const PacketRef&, std::uint32_t, bool) override {}
-  void OnPacketEnd(EndFlags) override {}
+  void OnPacketBegin(const SpanRef&) override {}
+  void OnPacketEnd(const Span&) override {}
   void OnFlowDirective(FlowDirective) override {}
   void OnCarrierChange(bool) override {}
 };

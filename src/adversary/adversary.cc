@@ -213,13 +213,7 @@ void Engine::StepStorm() {
 
     // Same CRC-escape delivery as check::FuzzInject: the body arrives as an
     // intact packet straight in the control processor's reassembly port.
-    CpPort& cp = net_->switch_at(sw).cp_port();
-    cp.NoteArrivalPort(port);
-    cp.SendBegin(pkt);
-    for (std::uint32_t i = 0; i < pkt->WireSize(); ++i) {
-      cp.SendByte(pkt, i);
-    }
-    cp.SendEnd(EndFlags{});
+    net_->switch_at(sw).cp_port().DeliverAsIfReceived(pkt, port);
   }
   MarkFlight(sw, "storm");
   Note("flooded %s with %d Byzantine positions near epoch %llu",

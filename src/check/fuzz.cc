@@ -648,13 +648,7 @@ InjectReport FuzzInject(const InjectConfig& config) {
       // real in-flight reception, that packet is lost — legal link behavior
       // the protocols already tolerate.
       net.sim().ScheduleAfter(jitter, [&net, sw, port, pkt] {
-        CpPort& cp = net.switch_at(sw).cp_port();
-        cp.NoteArrivalPort(port);
-        cp.SendBegin(pkt);
-        for (std::uint32_t i = 0; i < pkt->WireSize(); ++i) {
-          cp.SendByte(pkt, i);
-        }
-        cp.SendEnd(EndFlags{});
+        net.switch_at(sw).cp_port().DeliverAsIfReceived(pkt, port);
       });
     }
     net.Run(2 * kMillisecond + jitter);

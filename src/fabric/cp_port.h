@@ -12,6 +12,7 @@
 
 #include "src/common/packet.h"
 #include "src/fabric/port.h"
+#include "src/sim/simulator.h"
 
 namespace autonet {
 
@@ -22,6 +23,7 @@ class CpPort final : public Port {
   using DeliveryHandler = std::function<void(Delivery)>;
 
   CpPort(Switch* owner, std::size_t fifo_capacity);
+  ~CpPort() override;
 
   // Queues a packet for transmission from the control processor.  Bytes are
   // staged into the port FIFO at memory speed (instantaneous in the model);
@@ -35,8 +37,15 @@ class CpPort final : public Port {
   // Destroys everything staged or partially received (switch reset).
   void Reset();
 
-  // Retry staging queued packets after the crossbar drained FIFO space.
-  void PumpPending() { TryStagePending(); }
+  // FIFO room the next queued packet needs (0 if none is waiting).
+  std::uint32_t stage_need() const {
+    return pending_.empty()
+               ? 0
+               : static_cast<std::uint32_t>(pending_.front()->WireSize() + 1);
+  }
+  // The crossbar will have drained room for the next queued packet at
+  // `room.at` (PortFifo::kNever: not under current plans).
+  void ScheduleStaging(const PortFifo::Moment& room);
 
   // The switch records which receive port feeds the crossbar connection to
   // port 0, so deliveries can tell the control program their arrival port
@@ -46,11 +55,16 @@ class CpPort final : public Port {
 
   std::size_t pending_injections() const { return pending_.size(); }
 
+  // Delivers `packet` into the control processor as though it had just
+  // crossed the crossbar intact from `arrival_port` (fault injection: a
+  // damaged packet whose CRC still verifies).
+  void DeliverAsIfReceived(const PacketRef& packet, PortNum arrival_port);
+
   // --- Port (output side: crossbar -> control processor memory) ---
   bool CanTransmitNow() const override { return true; }
   void SendBegin(const PacketRef& packet) override;
-  void SendByte(const PacketRef& packet, std::uint32_t offset) override;
-  void SendEnd(EndFlags flags) override;
+  void SendBytes(std::uint32_t, const ByteRuns&) override {}
+  void SendEnd(EndFlags flags, std::uint32_t bytes_sent) override;
 
  private:
   void TryStagePending();
@@ -58,10 +72,11 @@ class CpPort final : public Port {
   Switch* owner_;
   DeliveryHandler handler_;
   std::deque<PacketRef> pending_;  // waiting for FIFO space
+  Simulator::EventId stage_event_;
+  PortFifo::Moment stage_at_;
 
   // Receive-side reassembly.
   PacketRef rx_packet_;
-  std::uint32_t rx_bytes_ = 0;
   PortNum arrival_port_ = -1;
 };
 

@@ -5,6 +5,34 @@
 
 namespace autonet {
 
+namespace {
+
+// True if `next` (from offset `from`) plans the same bytes as `prev` from
+// that offset on.
+bool SamePlanFrom(const ByteRuns& prev, std::uint32_t from,
+                  const ByteRuns& next) {
+  std::size_t i = 0;
+  while (i < prev.size() && prev[i].end() <= from) {
+    ++i;
+  }
+  std::size_t j = 0;
+  for (; i < prev.size() && j < next.size(); ++i, ++j) {
+    ByteRun a = prev[i];
+    if (a.offset < from) {
+      a.index += from - a.offset;
+      a.count -= from - a.offset;
+      a.offset = from;
+    }
+    const ByteRun& b = next[j];
+    if (a.offset != b.offset || a.count != b.count || a.index != b.index) {
+      return false;
+    }
+  }
+  return i == prev.size() && j == next.size();
+}
+
+}  // namespace
+
 Forwarder::Forwarder(Switch* owner, PortNum inport, PortVector outports,
                      bool broadcast)
     : owner_(owner),
@@ -12,19 +40,14 @@ Forwarder::Forwarder(Switch* owner, PortNum inport, PortVector outports,
       outports_(outports),
       broadcast_(broadcast) {
   outputs_allow_ = OutputsAllowTransmit();
-  in_port_ = &owner_->port(inport_);
-  if (outports_.Count() == 1 && outports_.Lowest() >= kFirstExternalPort) {
-    fast_out_ = &owner_->link_unit(outports_.Lowest());
-  }
 }
 
 Forwarder::~Forwarder() {
-  if (pump_event_.valid()) {
-    owner_->sim()->Cancel(pump_event_);
-  }
+  owner_->sim()->Cancel(begin_event_);
+  owner_->sim()->Cancel(done_event_);
 }
 
-void Forwarder::Start() { SchedulePump(); }
+void Forwarder::Start() { ScheduleBeginStep(); }
 
 bool Forwarder::OutputsAllowTransmit() const {
   bool ok = true;
@@ -51,94 +74,123 @@ bool Forwarder::StalledByFlowControl() const {
   return !outputs_allow_;
 }
 
-void Forwarder::SchedulePump() {
-  if (pump_event_.valid() || finished_) {
+void Forwarder::ScheduleBeginStep() {
+  if (begin_event_.valid() || finished_) {
     return;
   }
-  // One train per streaming burst: each PumpStep re-anchors the single
-  // queue entry at the next data slot (flow slots make the grid non-
-  // arithmetic, so the handler steers every step) and ends the train when
-  // the forwarder parks.
-  Tick when = NextDataSlotAfter(owner_->now());
-  pump_event_ = owner_->sim()->ScheduleTrainRawAt(
-      when, 0,
-      [](void* self, std::uint64_t, std::uint32_t) {
-        return static_cast<Forwarder*>(self)->PumpStep();
-      },
-      this, 0);
+  begin_set_ = owner_->now();
+  begin_event_ = owner_->sim()->ScheduleAt(
+      NextDataSlotAfter(owner_->now()), [this] {
+        begin_event_ = {};
+        BeginStep();
+      });
+}
+
+// The first crossbar step: transmit the begin command, then let the FIFO
+// walk plan the byte pops from the next data slot on.
+void Forwarder::BeginStep() {
+  if (finished_ || StalledByFlowControl()) {
+    return;  // resume on OnThrottleChange
+  }
+  PortFifo& fifo = owner_->port(inport_).fifo();
+  if (!fifo.HasHead()) {
+    return;  // reset raced us; owner cleans up
+  }
+  owner_->SettlePort(inport_, /*inclusive=*/false);
+  const PacketRef packet = fifo.head().packet;
+  if (outports_.Test(kCpPort)) {
+    owner_->NoteCpArrivalPort(inport_);
+  }
+  outports_.ForEach([&](PortNum p) { owner_->port(p).SendBegin(packet); });
+  begun_ = true;
+  Tick now = owner_->now();
+  fifo.StartDrain(NextDataSlotAfter(now), now,
+                  SteppingFrom(begin_set_, now,
+                               owner_->sim()->events_processed()));
+  owner_->RefreshPort(inport_);
+}
+
+void Forwarder::Replan(const PortFifo::Outlook& outlook) {
+  if (!begun_ || finished_) {
+    return;
+  }
+  if (!drain_only() &&
+      !SamePlanFrom(plan_, outlook.pops_from, outlook.pops)) {
+    plan_from_ = outlook.pops_from;
+    plan_ = outlook.pops;
+    outports_.ForEach([&](PortNum p) {
+      owner_->port(p).SendBytes(plan_from_, plan_);
+    });
+  }
+  if (owner_->port(inport_).fifo().drain_done()) {
+    return;  // the end mark was popped this tick; its step is pending
+  }
+  ScheduleDone(outlook);
+}
+
+void Forwarder::ScheduleDone(const PortFifo::Outlook& outlook) {
+  const PortFifo::Moment& done = outlook.done;
+  if (done == done_at_) {
+    return;
+  }
+  Simulator* sim = owner_->sim();
+  sim->Cancel(done_event_);
+  done_event_ = {};
+  done_at_ = done;
+  if (done.at == PortFifo::kNever) {
+    return;
+  }
+  sim->ScheduleAnchored(done.at, done.anchor, done.stepping,
+                        [this] {
+                          done_event_ = {};
+                          DoneStep();
+                        },
+                        &done_event_);
+}
+
+// The step that pops the head's end mark: send the end command and finish.
+void Forwarder::DoneStep() {
+  done_at_ = PortFifo::Moment{};
+  owner_->SettlePort(inport_, /*inclusive=*/true);
+  PortFifo& fifo = owner_->port(inport_).fifo();
+  if (!fifo.drain_done()) {
+    owner_->RefreshPort(inport_);
+    return;
+  }
+  std::uint32_t bytes = fifo.head().bytes_consumed;
+  EndFlags flags = fifo.TakeDoneHead();
+  finished_ = true;
+  outports_.ForEach(
+      [&](PortNum p) { owner_->port(p).SendEnd(flags, bytes); });
+  // Must be the last action: the owner destroys this forwarder.
+  owner_->OnForwarderDone(inport_, drain_only(), bytes);
 }
 
 void Forwarder::OnThrottleChange() {
   outputs_allow_ = OutputsAllowTransmit();
-  if (!finished_ && !StalledByFlowControl()) {
-    SchedulePump();
-  }
-}
-
-Simulator::TrainStep Forwarder::PumpStep() {
   if (finished_) {
-    pump_event_ = {};
-    return Simulator::TrainStep::Done();
-  }
-  if (StalledByFlowControl()) {
-    pump_event_ = {};
-    return Simulator::TrainStep::Done();  // resume on OnThrottleChange
+    return;
   }
   if (!begun_) {
-    // Transmit the begin command (one slot), then stream bytes.
-    PortFifo& fifo = in_port_->fifo();
-    if (!fifo.HasHead()) {
-      pump_event_ = {};
-      return Simulator::TrainStep::Done();  // reset raced us; owner cleans up
+    if (!StalledByFlowControl()) {
+      ScheduleBeginStep();
     }
-    const PacketRef& packet = fifo.head().packet;
-    if (outports_.Test(kCpPort)) {
-      owner_->NoteCpArrivalPort(inport_);
-    }
-    outports_.ForEach(
-        [&](PortNum p) { owner_->port(p).SendBegin(packet); });
-    begun_ = true;
-    bytes_moved_ = 0;
-    return Simulator::TrainStep::At(NextDataSlotAfter(owner_->now()));
+    return;
   }
-  PortFifo& fifo = in_port_->fifo();
-  if (auto offset = fifo.PopByte()) {
-    const PacketRef& packet = fifo.head().packet;
-    if (fast_out_ != nullptr) {
-      fast_out_->SendByte(packet, *offset);
-    } else {
-      outports_.ForEach(
-          [&](PortNum p) { owner_->port(p).SendByte(packet, *offset); });
-    }
-    ++bytes_moved_;
-    owner_->AfterFifoPop(inport_);
-    return Simulator::TrainStep::At(NextDataSlotAfter(owner_->now()));
+  bool stalled = StalledByFlowControl();
+  if (stalled == held_) {
+    return;
   }
-  if (auto end = fifo.TryPopEnd()) {
-    owner_->AfterFifoPop(inport_);
-    pump_event_ = {};
-    // Finish's last action destroys this forwarder (OnForwarderDone), so
-    // nothing below may touch members.
-    Finish(*end);
-    return Simulator::TrainStep::Done();
+  owner_->SettlePort(inport_, /*inclusive=*/false);
+  held_ = stalled;
+  PortFifo& fifo = owner_->port(inport_).fifo();
+  if (stalled) {
+    fifo.HoldDrain();
+  } else {
+    Tick now = owner_->now();
+    fifo.ResumeDrain(NextDataSlotAfter(now), now);
   }
-  // Mid-packet with nothing buffered: the upstream transmitter has been
-  // stopped somewhere behind us.  The Underflow status condition.
-  owner_->port(inport_).RecordUnderflow();
-  pump_event_ = {};
-  // Resume when bytes arrive (OnFifoActivity).
-  return Simulator::TrainStep::Done();
-}
-
-void Forwarder::Finish(EndFlags flags) {
-  finished_ = true;
-  if (pump_event_.valid()) {
-    owner_->sim()->Cancel(pump_event_);
-    pump_event_ = {};
-  }
-  outports_.ForEach([&](PortNum p) { owner_->port(p).SendEnd(flags); });
-  // Must be the last action: the owner destroys this forwarder.
-  owner_->OnForwarderDone(inport_, drain_only(), bytes_moved_);
+  owner_->RefreshPort(inport_);
 }
 
 void Forwarder::Abort() {
@@ -146,14 +198,18 @@ void Forwarder::Abort() {
     return;
   }
   finished_ = true;
-  if (pump_event_.valid()) {
-    owner_->sim()->Cancel(pump_event_);
-    pump_event_ = {};
-  }
+  Simulator* sim = owner_->sim();
+  sim->Cancel(begin_event_);
+  sim->Cancel(done_event_);
   if (begun_) {
+    owner_->SettlePort(inport_, /*inclusive=*/false);
+    PortFifo& fifo = owner_->port(inport_).fifo();
+    std::uint32_t sent = fifo.HasHead() ? fifo.head().bytes_consumed : 0;
+    fifo.StopDrain();
     // The packet loses its tail; downstream sees a truncated end.
     outports_.ForEach([&](PortNum p) {
-      owner_->port(p).SendEnd(EndFlags{.truncated = true, .corrupted = true});
+      owner_->port(p).SendEnd(EndFlags{.truncated = true, .corrupted = true},
+                              sent);
     });
   }
 }

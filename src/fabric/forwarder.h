@@ -1,13 +1,21 @@
-// A forwarder is an active crossbar connection: it pumps symbols from one
-// receive FIFO to a set of output ports, one byte per data slot (cut-
-// through, section 3.5).  A forwarder with no output ports drains and
-// discards the head packet (a forwarding-table discard entry).
+// A forwarder is an active crossbar connection: it drains one receive FIFO
+// to a set of output ports, one symbol per data slot (cut-through, section
+// 3.5).  A forwarder with no output ports drains and discards the head
+// packet (a forwarding-table discard entry).
+//
+// The drain is not stepped slot by slot.  The forwarder's begin step is an
+// event; after it, the input FIFO's walk (PortFifo::Look) computes every
+// byte pop from the incoming span, and the forwarder hands that pop plan
+// to its output ports as their transmit plan.  Whenever the input's plan
+// changes the forwarder re-plans; its only other event is the step that
+// pops the end mark and finishes the packet.
 //
 // Flow-control interaction:
 //   * transmission does not begin until every chosen output port's last
 //     received directive allows it;
 //   * an alternatives (unicast) forwarder stalls mid-packet whenever its
-//     output port is stopped;
+//     output port is stopped: its drain is held and the plan withdrawn
+//     from that instant;
 //   * a broadcast forwarder, under the paper's deadlock fix (section 6.6.6),
 //     ignores stop once transmission has begun.  Config::broadcast_ignores_
 //     stop=false restores the deadlocking behaviour of Figure 9 for the E7
@@ -20,14 +28,11 @@
 #include "src/common/ids.h"
 #include "src/common/port_vector.h"
 #include "src/common/time.h"
-#include "src/link/link.h"
+#include "src/fabric/port_fifo.h"
 #include "src/sim/simulator.h"
 
 namespace autonet {
 
-class LinkUnit;
-class Port;
-class PortFifo;
 class Switch;
 
 class Forwarder {
@@ -41,13 +46,9 @@ class Forwarder {
 
   void Start();
 
-  // New symbols arrived in the input FIFO.  Inline: called once per
-  // received byte; while the pump train is scheduled this is one compare.
-  void OnFifoActivity() {
-    if (!finished_ && !pump_event_.valid()) {
-      SchedulePump();
-    }
-  }
+  // The input FIFO's outlook changed (or was recomputed): revise the output
+  // plan and the finishing step.
+  void Replan(const PortFifo::Outlook& outlook);
   // An output port's flow-control gate changed.
   void OnThrottleChange();
   // Switch reset: terminate, transmitting a truncated end if mid-packet.
@@ -62,34 +63,31 @@ class Forwarder {
  private:
   bool OutputsAllowTransmit() const;
   bool StalledByFlowControl() const;
-  void SchedulePump();
-  Simulator::TrainStep PumpStep();
-  void Finish(EndFlags flags);
+  void ScheduleBeginStep();
+  void BeginStep();
+  void ScheduleDone(const PortFifo::Outlook& outlook);
+  void DoneStep();
 
   Switch* owner_;
   PortNum inport_;
   PortVector outports_;
   bool broadcast_;
-  // Hot-path caches, valid for the forwarder's whole life (ports are owned
-  // by the switch and outlive every forwarder).  `in_port_` skips the
-  // per-byte unique_ptr deref; `fast_out_` is the single external output
-  // port of a unicast forwarder (nullptr otherwise), letting the byte pump
-  // call the final LinkUnit::SendByte directly instead of iterating the
-  // port vector through a virtual call.
-  Port* in_port_ = nullptr;
-  LinkUnit* fast_out_ = nullptr;
-  // Cached OutputsAllowTransmit(): the flow gate is queried once per pumped
-  // byte but changes only when a port's received directive flips, which the
-  // switch signals via OnThrottleChange.  (CpPort's gate is constant, so
-  // directive flips are the only invalidation source.)
+  // Cached OutputsAllowTransmit(): changes only when a port's received
+  // directive flips, which the switch signals via OnThrottleChange.
   bool outputs_allow_ = false;
-  bool begun_ = false;       // begin command sent
+  bool begun_ = false;   // begin command sent
+  bool held_ = false;    // drain stopped by flow control
   bool finished_ = false;
-  std::size_t bytes_moved_ = 0;
-  // The pump train: one queue entry that re-anchors itself data slot by
-  // data slot while the forwarder is streaming, and ends (TrainStep::Done)
-  // when the forwarder parks waiting for bytes or a throttle change.
-  Simulator::EventId pump_event_;
+  Simulator::EventId begin_event_;
+  Tick begin_set_ = 0;  // when the pending begin step was scheduled
+  // The finishing step at done_at_, anchored at the previous drain step
+  // (Simulator::ScheduleAnchored) so it ties with other events at done_at_
+  // as a slot-by-slot drain's step would.
+  Simulator::EventId done_event_;
+  PortFifo::Moment done_at_;
+  // The output plan last handed to the output ports.
+  std::uint32_t plan_from_ = 0;
+  ByteRuns plan_;
 };
 
 }  // namespace autonet

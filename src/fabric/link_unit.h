@@ -1,14 +1,17 @@
 // A link unit terminates one external full-duplex link of a switch
-// (section 5.1): the receive path buffers arriving symbols in the port FIFO
-// and derives the flow control sent back on the same link's reverse channel;
-// the transmit path carries crossbar output down the link.  The unit also
-// maintains the hardware status bits of section 6.5.2 that the status
-// sampler reads.
+// (section 5.1): the receive path buffers the incoming link span in the
+// port FIFO and derives the flow control sent back on the same link's
+// reverse channel; the transmit path carries the forwarder's byte plan down
+// the link.  The unit also maintains the hardware status bits of section
+// 6.5.2 that the status sampler reads; the byte-count conditions (bytes
+// forwarded, damaged and stray bytes, overflow, underflow) are computed
+// from the FIFO's settled spans when the status is read.
 #ifndef SRC_FABRIC_LINK_UNIT_H_
 #define SRC_FABRIC_LINK_UNIT_H_
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "src/common/ids.h"
 #include "src/common/time.h"
@@ -44,13 +47,10 @@ struct PortStatus {
   std::uint64_t bytes_forwarded = 0;  // progress out of the receive FIFO
 };
 
-// LinkEndpoint is deliberately the primary base: the receive path (one
-// virtual call per delivered byte) dispatches through LinkEndpoint, so
-// keeping it at offset zero makes those calls thunk-free; the Port virtuals
-// (begin/end per packet, gated queries) absorb the this-adjustment instead.
 class LinkUnit final : public LinkEndpoint, public Port {
  public:
   LinkUnit(Switch* owner, PortNum port_num, std::size_t fifo_capacity);
+  ~LinkUnit() override;
 
   void AttachLink(Link* link, Link::Side side);
   void DetachLink();
@@ -71,57 +71,49 @@ class LinkUnit final : public LinkEndpoint, public Port {
   // --- Port (output side, driven by the forwarder) ---
   bool CanTransmitNow() const override;
   void SendBegin(const PacketRef& packet) override;
-  // Inline: runs once per forwarded byte; the forwarder's single-output
-  // fast path calls it directly (LinkUnit is final), so the whole
-  // byte-transmit chain down to Link::PushFlit compiles as one unit.
-  void SendByte(const PacketRef& packet, std::uint32_t offset) override {
-    if (link_ != nullptr) {
-      link_->TransmitByte(side_, packet, offset);
-    }
-  }
-  void SendEnd(EndFlags flags) override;
-  void RecordUnderflow() override { ++status_.underflow; }
+  void SendBytes(std::uint32_t from_offset, const ByteRuns& runs) override;
+  void SendEnd(EndFlags flags, std::uint32_t bytes_sent) override;
 
   // --- LinkEndpoint (receive path) ---
-  void OnPacketBegin(const PacketRef& packet) override;
-  void OnDataByte(const PacketRef& packet, std::uint32_t offset,
-                  bool corrupt) override;
-  void OnPacketEnd(EndFlags flags) override;
+  void OnPacketBegin(const SpanRef& span) override;
+  void OnSpanRevised(const Span& span) override;
+  void OnStraySpan(const SpanRef& span) override;
+  void OnPacketEnd(const Span& span) override;
   void OnFlowDirective(FlowDirective directive) override;
   void OnCarrierChange(bool carrier_up) override;
   void OnCodeViolation() override { ++status_.bad_code; }
 
-  // Recomputes and latches the outgoing flow directive (start/stop/idhy).
-  // Called after FIFO occupancy changes and mode changes — once per
-  // forwarded byte, so the no-transition case is inline and the telemetry
-  // bookkeeping lives out of line.
-  void UpdateOutgoingFlow() {
-    if (link_ == nullptr) {
-      return;
-    }
-    FlowDirective d;
-    if (force_idhy_) {
-      d = FlowDirective::kIdhy;
-    } else {
-      d = fifo_.MoreThanHalfFull() ? FlowDirective::kStop
-                                   : FlowDirective::kStart;
-    }
-    if (d != last_tx_directive_) {
-      NoteDirectiveTransition(d);
-    }
-    link_->SetFlowDirective(side_, d);
-  }
+  // Brings the receive FIFO (and the BadSyntax count of stray bytes) up to
+  // now; see PortFifo::Settle.
+  void SettleReceive(bool inclusive);
+  // Re-derives the outgoing flow directive (start/stop/idhy) from the FIFO
+  // as it is now.
+  void UpdateOutgoingFlow();
+  // Latches the directive for the FIFO's flow-control state, if changed.
+  void ApplyFlow();
+  // The FIFO next needs attention at `wake.at` — a half-full transition, or
+  // the last planned byte of a stalled sender landing (PortFifo::kNever:
+  // none under current plans).
+  void ScheduleWake(const PortFifo::Moment& wake);
 
   // Hard reset of the receive side (panic handling): clears the FIFO and
   // abandons any packet being forwarded from it.
   void ResetReceiveSide();
-
-  void NoteBytesForwarded(std::uint64_t n) { status_.bytes_forwarded += n; }
+  // Drops the incoming packet's remaining bytes into the stray count and
+  // clears the FIFO (switch reset).
+  void ClearFifo();
 
  private:
   // Latches a changed outgoing directive and records stop-interval
-  // telemetry (out of line; transitions are rare next to recomputations).
+  // telemetry.
   void NoteDirectiveTransition(FlowDirective d);
+  // Bytes of `span` from offset `from` on arrive outside any packet.
+  void AddStray(SpanRef span, std::uint32_t from);
+
+  struct Stray {
+    SpanRef span;
+    std::uint32_t next;  // first offset not yet counted
+  };
 
   Switch* owner_;
   PortNum port_num_;
@@ -133,6 +125,16 @@ class LinkUnit final : public LinkEndpoint, public Port {
   FlowDirective last_rx_directive_ = FlowDirective::kStart;  // power-up latch
   PortStatus status_;
   Tick last_status_read_ = 0;
+  // FIFO totals at the previous status read (the accumulated status
+  // conditions are their deltas).
+  std::uint64_t read_overflows_ = 0;
+  std::uint64_t read_underflows_ = 0;
+  std::uint64_t read_popped_ = 0;
+  std::uint64_t read_corrupt_ = 0;
+  std::vector<Stray> strays_;
+  bool applied_half_ = false;
+  Simulator::EventId wake_event_;
+  PortFifo::Moment wake_at_;
 
   // Flow-control telemetry: how often and for how long this unit told its
   // neighbour to stop.  The histogram is shared by all ports of the switch

@@ -31,15 +31,13 @@ class Port {
   // the link (the XmitOK status bit); the control-processor port always may.
   virtual bool CanTransmitNow() const = 0;
 
-  // Output-side transmission, one symbol per call (the forwarder provides
-  // the slot cadence).
+  // Output-side transmission, driven by the forwarder: the begin symbol
+  // leaves now; the packet's bytes from `from_offset` on leave at the slots
+  // of `runs` (replacing any earlier plan for them); the end symbol leaves
+  // now, after `bytes_sent` bytes.
   virtual void SendBegin(const PacketRef& packet) = 0;
-  virtual void SendByte(const PacketRef& packet, std::uint32_t offset) = 0;
-  virtual void SendEnd(EndFlags flags) = 0;
-
-  // The input FIFO had data to forward but the crossbar pump found nothing
-  // to do (upstream stalled mid-packet): the Underflow status condition.
-  virtual void RecordUnderflow() {}
+  virtual void SendBytes(std::uint32_t from_offset, const ByteRuns& runs) = 0;
+  virtual void SendEnd(EndFlags flags, std::uint32_t bytes_sent) = 0;
 
  protected:
   explicit Port(std::size_t fifo_capacity) : fifo_(fifo_capacity) {}

@@ -107,40 +107,19 @@ class Switch {
 
   // --- internal plumbing, called by ports and forwarders ---
   Port& port(PortNum p) { return *ports_[p]; }
-  // Inline: runs once per received byte on the forwarding hot path.
-  void OnFifoActivity(PortNum p) {
-    // High-water-mark gauge behind an integer shadow: the gauge is only
-    // touched when a new maximum is set, so the steady-state byte costs one
-    // integer compare instead of an int->double convert + double max.
-    std::size_t occ = ports_[p]->fifo().occupancy();
-    if (occ > fifo_hwm_shadow_[p]) {
-      fifo_hwm_shadow_[p] = occ;
-      m_fifo_hwm_[p]->SetMax(static_cast<double>(occ));
-    }
-    switch (in_state_[p]) {
-      case InState::kIdle:
-        MaybeCapture(p);
-        break;
-      case InState::kForwarding:
-        forwarders_[p]->OnFifoActivity();
-        break;
-      case InState::kCapturePending:
-      case InState::kRequested:
-        break;
-    }
-  }
+  // Brings port p's receive FIFO up to now (see PortFifo::Settle) and
+  // publishes its high-water mark.
+  void SettlePort(PortNum p, bool inclusive);
+  // Re-derives what port p's FIFO will do next under current plans and
+  // (re)schedules the events that observe it: the flow-control flip, the
+  // head becoming capture-ready, control-processor staging, and the
+  // forwarder's byte plan and finishing step.
+  void RefreshPort(PortNum p);
+  // Symbols entered port p's FIFO now (an end mark, staged packets, an
+  // aborted packet): capture if idle, then refresh.
+  void OnFifoActivity(PortNum p);
   void OnXmitOkChange(PortNum p);
   void OnPortReceiveReset(PortNum p);
-  // Inline: runs once per forwarded byte on the forwarding hot path.
-  void AfterFifoPop(PortNum p) {
-    if (p == kCpPort) {
-      cp_port_->PumpPending();
-    } else {
-      LinkUnit& unit = link_unit(p);
-      unit.NoteBytesForwarded(1);  // ProgressSeen evidence for the sampler
-      unit.UpdateOutgoingFlow();
-    }
-  }
   PortVector FreeOutputPorts() const;
   void NoteCpArrivalPort(PortNum p) { cp_port_->NoteArrivalPort(p); }
   // The forwarder for `inport` completed (sent its end mark or drained a
@@ -157,6 +136,7 @@ class Switch {
   };
 
   void MaybeCapture(PortNum p);
+  void ScheduleReady(PortNum p, const PortFifo::Moment& ready);
   void DoCapture(PortNum p);
   void Grant(const SchedulerEngine::Request& request, PortVector ports);
   void StartForwarder(PortNum inport, PortVector outports, bool broadcast);
@@ -175,6 +155,13 @@ class Switch {
 
   std::array<InState, kPortsPerSwitch> in_state_{};
   std::array<Simulator::EventId, kPortsPerSwitch> capture_event_{};
+  // The head becomes capture-ready at ready_at_ (idle ports only).
+  std::array<Simulator::EventId, kPortsPerSwitch> ready_event_{};
+  std::array<PortFifo::Moment, kPortsPerSwitch> ready_at_{};
+  // RefreshPort re-entered for the same port (a plan change that loops
+  // back through a reflecting link): run it again when the outer call ends.
+  std::array<bool, kPortsPerSwitch> refreshing_{};
+  std::array<bool, kPortsPerSwitch> refresh_again_{};
   std::array<std::unique_ptr<Forwarder>, kPortsPerSwitch> forwarders_;
 
   obs::FlightRing* flight_;  // owned by the simulator's flight recorder

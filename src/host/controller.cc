@@ -53,6 +53,15 @@ void HostController::SelectPort(int which) {
       old_port.link->TransmitEnd(old_port.side,
                                  EndFlags{.truncated = true, .corrupted = true});
     }
+    if (streaming_) {
+      // The pump was stepping every slot; its next step begins the packet
+      // afresh on the new port.
+      sim_->Cancel(pump_event_);
+      streaming_ = false;
+      pump_event_ = sim_->ScheduleAt(NextDataSlotAt(sim_->now()),
+                                     [this] { PumpStep(); });
+    }
+    tx_run_ = ByteRun{};
     tx_begun_ = false;
     tx_offset_ = 0;
   }
@@ -105,44 +114,85 @@ void HostController::SchedulePump() {
   if (pump_event_.valid() || tx_queue_.empty()) {
     return;
   }
-  // One train per transmit burst: PumpStep re-anchors the single queue
-  // entry at each next data slot (the handler steers because flow slots
-  // make the grid non-arithmetic) and ends it when the queue drains or
-  // flow control stops us.
-  pump_event_ = sim_->ScheduleTrainRawAt(
-      NextDataSlotAfter(sim_->now()), 0,
-      [](void* self, std::uint64_t, std::uint32_t) {
-        return static_cast<HostController*>(self)->PumpStep();
-      },
-      this, 0);
+  pump_stepping_ = SteppingFrom(sim_->now(), NextDataSlotAfter(sim_->now()),
+                                /*order=*/0);
+  pump_event_ = sim_->ScheduleAt(NextDataSlotAfter(sim_->now()),
+                                 [this] { PumpStep(); });
 }
 
 void HostController::OnThrottleChange() {
-  if (!tx_queue_.empty() && CanTransmitNow()) {
-    SchedulePump();
+  if (CanTransmitNow()) {
+    if (!tx_queue_.empty()) {
+      SchedulePump();
+    }
+  } else if (pump_event_.valid()) {
+    // The pump would find itself stopped at its next step: nothing from
+    // that slot on is transmitted.
+    HaltTransmission();
   }
 }
 
-Simulator::TrainStep HostController::PumpStep() {
-  if (tx_queue_.empty()) {
-    pump_event_ = {};
-    return Simulator::TrainStep::Done();
+std::uint32_t HostController::HaltTransmission() {
+  sim_->Cancel(pump_event_);
+  pump_event_ = {};
+  streaming_ = false;
+  if (tx_run_.count > 0) {
+    std::uint32_t sent =
+        SentBefore(ByteRuns{tx_run_}, tx_run_.offset, sim_->now());
+    NetPort& port = ports_[active_];
+    if (port.link != nullptr) {
+      port.link->PlanBytes(port.side, sent, ByteRuns{});
+    }
+    tx_offset_ = sent;
+    tx_run_ = ByteRun{};
   }
-  if (!CanTransmitNow()) {
-    pump_event_ = {};
-    return Simulator::TrainStep::Done();  // resume on flow-directive change
+  return tx_offset_;
+}
+
+void HostController::PlanRest(Tick first) {
+  NetPort& port = ports_[active_];
+  std::uint32_t size =
+      static_cast<std::uint32_t>(tx_queue_.front()->WireSize());
+  std::uint32_t count = size - tx_offset_;  // > 0: packets carry bytes
+  std::int64_t index = DataSlotsBefore(first);
+  Tick end_step = DataSlotStart(index + count);
+  tx_run_ = ByteRun{tx_offset_, count, index, pump_stepping_};
+  port.link->PlanBytes(port.side, tx_offset_, ByteRuns{tx_run_});
+  // The end step is set going in the last byte's slot.
+  Tick anchor = tx_run_.SlotOf(size - 1);
+  streaming_ = true;
+  sim_->ScheduleAnchored(end_step, anchor, pump_stepping_,
+                         [this] { PumpStep(); }, &pump_event_);
+}
+
+// One transmit step: the begin of the head packet, the resumption of its
+// bytes after a stop, or its end.
+void HostController::PumpStep() {
+  pump_event_ = {};
+  streaming_ = false;
+  if (tx_run_.count > 0) {
+    tx_offset_ = tx_run_.end();  // every planned byte has been sent
+    tx_run_ = ByteRun{};
+  }
+  if (tx_queue_.empty() || !CanTransmitNow()) {
+    return;  // resume on flow-directive change
   }
   NetPort& port = ports_[active_];
   const PacketRef& packet = tx_queue_.front();
+  Tick now = sim_->now();
+  if (now == pump_stepping_.first) {
+    pump_stepping_.order = sim_->events_processed();
+  }
   if (!tx_begun_) {
     port.link->TransmitBegin(port.side, packet);
     tx_begun_ = true;
     tx_offset_ = 0;
-    return Simulator::TrainStep::At(NextDataSlotAfter(sim_->now()));
+    PlanRest(NextDataSlotAfter(now));
+    return;
   }
   if (tx_offset_ < packet->WireSize()) {
-    port.link->TransmitByte(port.side, packet, tx_offset_++);
-    return Simulator::TrainStep::At(NextDataSlotAfter(sim_->now()));
+    PlanRest(now);  // this step carries the next byte
+    return;
   }
   port.link->TransmitEnd(port.side, EndFlags{});
   ++stats_.packets_sent;
@@ -150,11 +200,10 @@ Simulator::TrainStep HostController::PumpStep() {
   tx_queue_.pop_front();
   tx_begun_ = false;
   tx_offset_ = 0;
-  if (tx_queue_.empty()) {
-    pump_event_ = {};
-    return Simulator::TrainStep::Done();
+  if (!tx_queue_.empty()) {
+    pump_event_ =
+        sim_->ScheduleAt(NextDataSlotAfter(now), [this] { PumpStep(); });
   }
-  return Simulator::TrainStep::At(NextDataSlotAfter(sim_->now()));
 }
 
 bool HostController::link_error_on_active() const {
@@ -164,29 +213,17 @@ bool HostController::link_error_on_active() const {
 
 // --- receive path ---
 
-void HostController::NetPort::OnPacketBegin(const PacketRef& packet) {
-  rx_packet = packet;
-  rx_bytes = 0;
-  rx_corrupted = false;
+void HostController::NetPort::OnPacketBegin(const SpanRef& span) {
+  rx_span = span;
 }
 
-void HostController::NetPort::OnDataByte(const PacketRef& packet,
-                                         std::uint32_t offset, bool corrupt) {
-  (void)packet;
-  (void)offset;
-  if (corrupt) {
-    rx_corrupted = true;
-  }
-  ++rx_bytes;
-}
-
-void HostController::NetPort::OnPacketEnd(EndFlags flags) {
+void HostController::NetPort::OnPacketEnd(const Span& span) {
   if (index_ != owner_->active_) {
     // The alternate port's receiver is ignored by the host.
-    rx_packet = nullptr;
+    rx_span = nullptr;
     return;
   }
-  owner_->FinishReceive(*this, flags);
+  owner_->FinishReceive(*this, span);
 }
 
 void HostController::NetPort::OnFlowDirective(FlowDirective directive) {
@@ -199,22 +236,29 @@ void HostController::NetPort::OnFlowDirective(FlowDirective directive) {
 void HostController::NetPort::OnCarrierChange(bool carrier_up) {
   carrier = carrier_up;
   if (!carrier_up) {
-    rx_packet = nullptr;
+    rx_span = nullptr;
   }
 }
 
-void HostController::FinishReceive(NetPort& port, EndFlags flags) {
-  if (port.rx_packet == nullptr) {
+void HostController::FinishReceive(NetPort& port, const Span& end) {
+  SpanRef rx = std::move(port.rx_span);
+  port.rx_span = nullptr;
+  if (rx == nullptr) {
     return;
   }
+  port.link->SettleDraws();
+  // Bytes of the packet that reached us; all of them, unless this end
+  // belongs to another span (a stray tail ending mid-reception).
+  std::uint32_t arrived =
+      rx.get() == &end ? rx->planned() : rx->ArrivedBefore(sim_->now() + 1);
   Delivery delivery;
-  delivery.packet = port.rx_packet;
-  delivery.corrupted = flags.corrupted || port.rx_corrupted;
+  delivery.packet = rx->packet;
+  delivery.corrupted =
+      end.flags.corrupted || rx->CorruptIn(rx->first, arrived) > 0;
   delivery.truncated =
-      flags.truncated || port.rx_bytes != port.rx_packet->WireSize();
+      end.flags.truncated || arrived - rx->first != rx->packet->WireSize();
   delivery.arrival_port = &port == &ports_[0] ? 0 : 1;
   delivery.delivered_at = sim_->now();
-  port.rx_packet = nullptr;
 
   if (delivery.corrupted) {
     ++stats_.rx_crc_errors;

@@ -12,6 +12,13 @@
 //   * the controller obeys `stop` from the switch, except that, like every
 //     Autonet transmitter, it ignores stop mid-packet when sending a
 //     broadcast packet (section 6.6.6).
+//
+// Transmission is planned in spans: the begin step is an event, the
+// packet's bytes are handed to the link as one run on the following data
+// slots, and the end step is the next event.  A stop arriving mid-packet
+// withdraws the untransmitted bytes; the resume step plans the rest.
+// Reception needs no per-byte work at all: the arriving span says how many
+// bytes came and which were damaged.
 #ifndef SRC_HOST_CONTROLLER_H_
 #define SRC_HOST_CONTROLLER_H_
 
@@ -96,10 +103,8 @@ class HostController {
       index_ = index;
     }
 
-    void OnPacketBegin(const PacketRef& packet) override;
-    void OnDataByte(const PacketRef& packet, std::uint32_t offset,
-                    bool corrupt) override;
-    void OnPacketEnd(EndFlags flags) override;
+    void OnPacketBegin(const SpanRef& span) override;
+    void OnPacketEnd(const Span& span) override;
     void OnFlowDirective(FlowDirective directive) override;
     void OnCarrierChange(bool carrier_up) override;
 
@@ -108,10 +113,8 @@ class HostController {
     FlowDirective last_rx_directive = FlowDirective::kStart;
     bool carrier = false;
 
-    // Receive reassembly.
-    PacketRef rx_packet;
-    std::uint32_t rx_bytes = 0;
-    bool rx_corrupted = false;
+    // Receive reassembly: the span of the packet arriving.
+    SpanRef rx_span;
 
    private:
     HostController* owner_ = nullptr;
@@ -120,10 +123,18 @@ class HostController {
 
   void UpdatePortDirectives();
   bool CanTransmitNow() const;
+  // Schedules the next transmit step at the first data slot after now,
+  // unless one is pending.
   void SchedulePump();
-  Simulator::TrainStep PumpStep();
+  void PumpStep();
+  // Hands the link the head packet's bytes from tx_offset_ on, starting at
+  // data slot `first`, and schedules the end step after the last one.
+  void PlanRest(Tick first);
+  // Stops a planned transmission at now (flow control or port change):
+  // bytes not yet on the wire are withdrawn.  Returns the bytes sent.
+  std::uint32_t HaltTransmission();
   void OnThrottleChange();
-  void FinishReceive(NetPort& port, EndFlags flags);
+  void FinishReceive(NetPort& port, const Span& span);
   void DrainRxQueue();
 
   Simulator* sim_;
@@ -138,8 +149,16 @@ class HostController {
   // Transmit side.
   std::deque<PacketRef> tx_queue_;
   std::size_t tx_queued_bytes_ = 0;
-  std::uint32_t tx_offset_ = 0;  // within the head packet
+  std::uint32_t tx_offset_ = 0;  // head packet bytes before the plan
   bool tx_begun_ = false;
+  // The planned run of the head packet's bytes (count 0: none) and the
+  // pending step event: begin, resume, or end (scheduled from an anchor at
+  // the last byte's slot, as a slot-by-slot pump would).
+  ByteRun tx_run_;
+  bool streaming_ = false;  // pump_event_ is the end step of tx_run_
+  // The pump's uninterrupted slot-by-slot stepping (see
+  // Simulator::StepKey); its order is filled in when the first step fires.
+  Simulator::StepKey pump_stepping_;
   Simulator::EventId pump_event_;
 
   // Receive side (modelled buffer + host consumption).

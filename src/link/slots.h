@@ -38,6 +38,22 @@ constexpr Tick NextDataSlotAt(Tick t) {
 // Start time of the first data slot strictly after t.
 constexpr Tick NextDataSlotAfter(Tick t) { return NextDataSlotAt(t + 1); }
 
+// Data-slot indices number the data slots 0, 1, 2, ... in time order (slot
+// 1 is data index 0; every 256th slot is skipped), so a symbol stream that
+// uses consecutive data slots is an arithmetic run of data indices and the
+// k-th symbol's slot is computed, not scheduled.
+constexpr std::int64_t DataSlotStart(std::int64_t data_index) {
+  return SlotStart(data_index + 1 + data_index / (kFlowSlotPeriod - 1));
+}
+// Number of data slots starting strictly before t (equivalently the data
+// index of NextDataSlotAt(t)).
+constexpr std::int64_t DataSlotsBefore(Tick t) {
+  std::int64_t index = (t + kSlotNs - 1) / kSlotNs;  // first slot start >= t
+  return index - (index + kFlowSlotPeriod - 1) / kFlowSlotPeriod;
+}
+// Data index of the first data slot strictly after t.
+constexpr std::int64_t DataIndexAfter(Tick t) { return DataSlotsBefore(t + 1); }
+
 }  // namespace autonet
 
 #endif  // SRC_LINK_SLOTS_H_

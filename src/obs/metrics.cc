@@ -34,8 +34,29 @@ Histogram* MetricRegistry::GetHistogram(const std::string& name) {
   return e == nullptr ? nullptr : &e->histogram;
 }
 
+void MetricRegistry::AddRefresher(const void* owner, Refresher fn) {
+  refreshers_.emplace_back(owner, std::move(fn));
+}
+
+void MetricRegistry::RemoveRefresher(const void* owner) {
+  std::erase_if(refreshers_,
+                [owner](const auto& r) { return r.first == owner; });
+}
+
+void MetricRegistry::Refresh() const {
+  if (refreshing_ || refreshers_.empty()) {
+    return;
+  }
+  refreshing_ = true;
+  for (const auto& r : refreshers_) {
+    r.second();
+  }
+  refreshing_ = false;
+}
+
 const MetricRegistry::Entry* MetricRegistry::Find(
     const std::string& name) const {
+  Refresh();
   auto it = entries_.find(name);
   return it == entries_.end() ? nullptr : it->second.get();
 }
@@ -43,6 +64,7 @@ const MetricRegistry::Entry* MetricRegistry::Find(
 void MetricRegistry::Visit(
     const std::string& prefix,
     const std::function<void(const Entry&)>& fn) const {
+  Refresh();
   for (auto it = entries_.lower_bound(prefix); it != entries_.end(); ++it) {
     if (it->first.compare(0, prefix.size(), prefix) != 0) {
       break;
@@ -52,6 +74,7 @@ void MetricRegistry::Visit(
 }
 
 void MetricRegistry::MergeFrom(const MetricRegistry& other) {
+  other.Refresh();
   for (const auto& [name, entry] : other.entries_) {
     Entry* mine = GetOrCreate(name, entry->kind);
     if (mine == nullptr) {

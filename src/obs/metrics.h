@@ -16,6 +16,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 #include <string_view>
 
 #include "src/common/histogram.h"
@@ -90,8 +92,20 @@ class MetricRegistry {
   // one campaign-wide view after the workers join.
   void MergeFrom(const MetricRegistry& other);
 
+  // Some instruments are kept lazily (the data path derives FIFO high-water
+  // marks from packet spans when it next settles).  Their owners register
+  // a refresher, run before any read (Find, Visit, snapshots, merges) so
+  // every reader sees values exact to the current simulated time.
+  using Refresher = std::function<void()>;
+  void AddRefresher(const void* owner, Refresher fn);
+  void RemoveRefresher(const void* owner);
+
  private:
   Entry* GetOrCreate(const std::string& name, MetricKind kind);
+  void Refresh() const;
+
+  std::vector<std::pair<const void*, Refresher>> refreshers_;
+  mutable bool refreshing_ = false;
 
   // std::map: stable handle addresses and deterministic iteration order.
   std::map<std::string, std::unique_ptr<Entry>> entries_;

@@ -1,6 +1,7 @@
 #include "src/sim/simulator.h"
 
 #include <cstdio>
+#include <algorithm>
 #include <cstdlib>
 #include <limits>
 #include <utility>
@@ -61,7 +62,6 @@ void Simulator::FreeTrainSlot(std::uint32_t slot) {
   t.fn = nullptr;
   t.id_seq = 0;
   t.cancelled = false;
-  t.parked = false;
   free_trains_.push_back(slot);
 }
 
@@ -123,7 +123,6 @@ Simulator::EventId Simulator::ScheduleTrainAt(Tick start, std::uint64_t seq,
   t.next_k = 0;
   t.count = count;
   t.cancelled = false;
-  t.parked = false;
   queue_.push(QEntry::Make(start, seq, slot, true), now_);
   ++live_count_;
   return EventId{seq, slot, true};
@@ -150,10 +149,86 @@ Simulator::EventId Simulator::ScheduleTrainRawAt(Tick start, std::uint64_t seq,
   t.next_k = 0;
   t.count = count;
   t.cancelled = false;
-  t.parked = false;
   queue_.push(QEntry::Make(start, seq, slot, true), now_);
   ++live_count_;
   return EventId{seq, slot, true};
+}
+
+bool Simulator::StepsBefore(const StepKey& x, const StepKey& y) {
+  if (x.first == y.first) {
+    return x.order < y.order;
+  }
+  bool x_newer = x.first > y.first;
+  const StepKey& newer = x_newer ? x : y;
+  bool newer_first = newer.set_at <= newer.before_first;
+  return x_newer == newer_first;
+}
+
+void Simulator::ScheduleAnchored(Tick when, Tick anchor, const StepKey& key,
+                                 Callback callback, EventId* handle) {
+  if (when <= now_) {
+    *handle = ScheduleAt(when, std::move(callback));
+    return;
+  }
+  // The callback waits in a pool slot (so Cancel through *handle works
+  // as for any pending event) until its batch is served.
+  std::uint32_t slot = AllocEventSlot();
+  std::uint64_t seq = NextSeq();
+  events_[slot].callback = std::move(callback);
+  events_[slot].seq = seq;
+  ++live_count_;
+  *handle = EventId{seq, slot, false};
+  bool late = anchor <= now_;
+  Tick tick = late ? when : anchor;
+  std::vector<Anchored>& batch = (late ? late_anchored_ : anchored_)[tick];
+  if (batch.empty()) {
+    if (late) {
+      ScheduleAt(tick, [this, tick] { RunLateAnchored(tick); });
+    } else {
+      ScheduleAt(tick, [this, tick] { FlushAnchors(tick); });
+    }
+  }
+  batch.push_back(Anchored{key, anchor, when, slot, seq, handle});
+}
+
+void Simulator::RunLateAnchored(Tick when) {
+  auto it = late_anchored_.find(when);
+  std::vector<Anchored> batch = std::move(it->second);
+  late_anchored_.erase(it);
+  std::stable_sort(batch.begin(), batch.end(),
+                   [](const Anchored& a, const Anchored& b) {
+                     return a.anchor != b.anchor ? a.anchor < b.anchor
+                                                 : StepsBefore(a.key, b.key);
+                   });
+  for (Anchored& a : batch) {
+    if (events_[a.slot].seq != a.seq) {
+      continue;  // cancelled meanwhile (possibly by an earlier entry)
+    }
+    Callback callback = std::move(events_[a.slot].callback);
+    FreeEventSlot(a.slot);
+    --live_count_;
+    *a.handle = EventId{};
+    callback();
+  }
+}
+
+void Simulator::FlushAnchors(Tick anchor) {
+  auto it = anchored_.find(anchor);
+  std::vector<Anchored> batch = std::move(it->second);
+  anchored_.erase(it);
+  std::erase_if(batch, [this](const Anchored& a) {
+    return events_[a.slot].seq != a.seq;  // cancelled meanwhile
+  });
+  std::stable_sort(batch.begin(), batch.end(),
+                   [](const Anchored& a, const Anchored& b) {
+                     return StepsBefore(a.key, b.key);
+                   });
+  for (Anchored& a : batch) {
+    Callback callback = std::move(events_[a.slot].callback);
+    FreeEventSlot(a.slot);
+    --live_count_;
+    *a.handle = ScheduleAt(a.when, std::move(callback));
+  }
 }
 
 bool Simulator::Cancel(EventId id) {
@@ -167,12 +242,6 @@ bool Simulator::Cancel(EventId id) {
     TrainSlot& t = trains_[id.slot];
     if (t.id_seq != id.seq || t.cancelled) {
       return false;  // already ended, or a different train owns the slot
-    }
-    if (t.parked) {
-      // No queue entry exists to drain the slot later; free it now.  The
-      // park already removed the train from live_count_.
-      FreeTrainSlot(id.slot);
-      return true;
     }
     // Inverted cancellation: flag the slot; the train's single queue entry
     // is discarded when it surfaces.  The handler is freed then, not here —
@@ -251,13 +320,6 @@ void Simulator::DispatchEntry(QEntry entry) {
   TrainSlot& t = trains_[slot];
   if (t.cancelled) {
     FreeTrainSlot(slot);  // Cancel already adjusted live_count_
-    return;
-  }
-  if (step.kind() == TrainStep::Kind::kPark) {
-    // The slot stays owned by the train for a later ResumeTrain.  A parked
-    // train is not pending.
-    t.parked = true;
-    --live_count_;
     return;
   }
   if (step.kind() == TrainStep::Kind::kDone ||

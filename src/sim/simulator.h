@@ -1,5 +1,6 @@
 // Deterministic discrete-event simulation engine.  All network components —
-// link symbol pumps, switch scheduling engines, Autopilot timer tasks — run
+// packet boundaries on links, switch scheduling engines, Autopilot timer
+// tasks — run
 // as events on one simulator instance, so the data plane and the control
 // plane share a single clock, as they do in the real Autonet.
 //
@@ -21,6 +22,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -47,15 +49,14 @@ class Simulator {
   };
 
   // What a train handler wants to happen after the firing it just served:
-  // advance arithmetically, end the train, re-anchor to an explicit time
+  // advance arithmetically, end the train, or re-anchor to an explicit time
   // (optionally with a tie-break sequence reserved earlier, see
-  // ReserveSeq()), or park — leave the queue but keep the slot so the owner
-  // can ResumeTrain() it later without paying slot churn.
+  // ReserveSeq()).
   // 16 bytes (kind shares a word with the 39-bit seq) so handlers return it
   // in a register pair instead of through a hidden sret pointer — the return
   // crosses an indirect-call boundary once per train firing.
   struct TrainStep {
-    enum class Kind : std::uint8_t { kAuto, kDone, kAt, kPark };
+    enum class Kind : std::uint8_t { kAuto, kDone, kAt };
     Tick when = 0;
     std::uint64_t seq_kind = 0;  // seq << 2 | kind
 
@@ -70,16 +71,11 @@ class Simulator {
       return TrainStep{when,
                        seq << 2 | static_cast<std::uint8_t>(Kind::kAt)};
     }
-    static TrainStep Park() {
-      return TrainStep{0, std::uint64_t{static_cast<std::uint8_t>(Kind::kPark)}};
-    }
   };
   // Called with the 0-based firing index k.
   using TrainHandler = std::function<TrainStep(std::uint32_t k)>;
-  // Raw-handler variant: a free function plus two context words.  Trains on
-  // the per-byte hot path (link delivery on short links starts one train
-  // per symbol) use this to skip std::function construction, indirection,
-  // and teardown entirely.
+  // Raw-handler variant: a free function plus two context words, skipping
+  // std::function construction, indirection, and teardown.
   using TrainFn = TrainStep (*)(void* ctx, std::uint64_t arg, std::uint32_t k);
 
   Simulator() = default;
@@ -98,18 +94,17 @@ class Simulator {
   //
   // A train is an arithmetic (or handler-steered) sequence of firings that
   // keeps exactly ONE queue entry alive: after each firing the entry
-  // re-sifts itself to the next firing time instead of being freed.  A
-  // packet's worth of byte deliveries costs one pool slot, one handler
-  // allocation, and one live queue entry — versus one of each per byte with
-  // plain events.
+  // re-sifts itself to the next firing time instead of being freed: a
+  // periodic chain costs one pool slot, one handler allocation, and one
+  // live queue entry — versus one of each per firing with plain events.
   //
   // Determinism contract: simultaneous events fire in sequence order, and a
   // re-sift takes a fresh sequence number exactly where a plain event would
   // have been scheduled (right after the handler returns), so converting an
   // event-per-firing chain to a train is timing-invisible.  When the
-  // tie-break position must be claimed *earlier* than the re-sift (the link
-  // reserves a byte's delivery order at transmit time), reserve a sequence
-  // with ReserveSeq() and pass it via TrainStep::At / ScheduleTrainAt.
+  // tie-break position must be claimed *earlier* than the re-sift, reserve
+  // a sequence with ReserveSeq() and pass it via TrainStep::At /
+  // ScheduleTrainAt.
 
   // Fires handler(0..count-1) at start, start+stride, ...; `count` 0 means
   // unbounded (the handler ends the train with TrainStep::Done()).  The
@@ -125,39 +120,10 @@ class Simulator {
                              void* ctx, std::uint64_t arg, Tick stride = 0,
                              std::uint32_t count = 0);
 
-  // Re-queues a train that parked itself (TrainStep::Park).  Heap-identical
-  // to ending the train and scheduling a fresh one at (when, seq) — only the
-  // slot alloc/init/free churn is skipped — so the link's start-a-train-per-
-  // symbol pattern on short links costs one heap push per symbol instead.
-  // A parked train is not pending (it holds no queue entry); Cancel frees
-  // it immediately.  Returns false if `id` does not name a parked train.
-  // Inline: short links park and resume once per delivered symbol.
-  bool ResumeTrain(EventId id, Tick when, std::uint64_t seq = 0) {
-    if (!id.valid() || !id.train || id.slot >= trains_.size()) {
-      return false;
-    }
-    TrainSlot& t = trains_[id.slot];
-    if (t.id_seq != id.seq || !t.parked || t.cancelled) {
-      return false;
-    }
-    if (when < now_) {
-      when = now_;
-      NotePastClamp();
-    }
-    if (seq == 0) {
-      seq = NextSeq();
-    }
-    t.parked = false;
-    queue_.push(QEntry::Make(when, seq, id.slot, true), now_);
-    ++live_count_;
-    return true;
-  }
-
   // Claims the next insertion sequence number without scheduling anything.
   // Two events at the same tick fire in sequence order, so a component that
   // knows *now* that a firing will be needed later can fix its tie-break
-  // position now (used by Link to keep byte-train delivery order-identical
-  // to the per-byte-event engine it replaced).
+  // position now.
   std::uint64_t ReserveSeq() { return NextSeq(); }
   // Schedules a plain event whose tie-break sequence was reserved earlier.
   EventId ScheduleAtReserved(Tick when, std::uint64_t seq, Callback callback);
@@ -165,6 +131,35 @@ class Simulator {
   // Returns true if the event (or train) existed and had not yet fired (for
   // trains: not yet ended).  O(1), touches only the named pool slot.
   bool Cancel(EventId id);
+
+  // --- anchored scheduling ----------------------------------------------
+  //
+  // A component that computes a slot-by-slot stepping instead of running
+  // it (the span data path) must still place the few events that stepping
+  // would schedule in the same tie-break order.  A stepping that steps
+  // every slot from `first` on keeps, at every later slot, the place it
+  // took at `first`: ahead of steppings already under way only if it was
+  // set going (`set_at`) no later than their step in the slot before
+  // (`before_first`), else behind them; steppings whose first steps share
+  // a slot keep the dispatch order of those first steps (`order`).
+  struct StepKey {
+    Tick first = 0;
+    Tick before_first = 0;
+    Tick set_at = 0;
+    std::uint64_t order = 0;
+  };
+  // Does stepping `x` step before stepping `y` in a slot both use?
+  static bool StepsBefore(const StepKey& x, const StepKey& y);
+  // Schedules `callback` at `when` as though by the step at `anchor` (a
+  // slot before `when`) of the stepping `key`: all anchored schedules that
+  // share an anchor tick take their sequence numbers at that tick, in
+  // StepsBefore order.  An anchor already past cannot take a sequence
+  // number any more; such schedules for one tick run together at it, in
+  // (anchor, StepsBefore) order.  `*handle` names the pending event
+  // throughout (it is rewritten when the anchor tick passes) and must stay
+  // valid until the event fires or is cancelled through it.
+  void ScheduleAnchored(Tick when, Tick anchor, const StepKey& key,
+                        Callback callback, EventId* handle);
 
   // --- interleaving exploration hook ------------------------------------
   //
@@ -250,7 +245,7 @@ class Simulator {
   // 4-ary min-heap over QEntry.  Used as the *overflow* tier of the
   // two-tier EventQueue below: only events beyond the timing wheel's window
   // (millisecond-scale timers) live here, so its operations are off the
-  // per-byte hot path.  Arity 4 halves the depth versus a binary heap and
+  // data-path hot path.  Arity 4 halves the depth versus a binary heap and
   // keeps each level's four children inside 1.5 cache lines; dispatch order
   // is arity-independent because (when, seq) is a total order.
   class EventHeap {
@@ -342,8 +337,8 @@ class Simulator {
   // Exactness: dispatch order is the same total (when, seq) order the heap
   // alone gave.  Buckets are visited in time order; within a bucket the
   // vector is kept sorted on insert.  The tail append is already in order
-  // for all but two rare cases — a reserved sequence (claimed at transmit
-  // time) entering after a later-reserved same-when entry, and a heap
+  // for all but two rare cases — a reserved sequence (claimed before it
+  // was scheduled) entering after a later-reserved same-when entry, and a heap
   // migration landing behind fresh pushes — which pay a bounded backward
   // insertion.  The scan can start at now's quantum because every queue
   // entry, live or stale, satisfies when >= now: the dispatch loop never
@@ -464,7 +459,6 @@ class Simulator {
     std::uint32_t next_k = 0;
     std::uint32_t count = 0;  // 0 = unbounded
     bool cancelled = false;
-    bool parked = false;  // no queue entry; waiting for ResumeTrain
     std::uint64_t id_seq = 0;  // creation seq (EventId tag); 0 = free
     Tick stride = 0;
     TrainHandler handler;      // used when fn == nullptr
@@ -502,6 +496,8 @@ class Simulator {
   // body): peels stale heads, dispatches the earliest live entry.
   bool StepDefault(Tick horizon);
   void NotePastClamp();
+  void FlushAnchors(Tick anchor);
+  void RunLateAnchored(Tick when);
 
   Tick now_ = 0;
   std::uint64_t next_seq_ = 1;
@@ -512,6 +508,17 @@ class Simulator {
   // Live same-tick entries pulled out of the queue for the chooser,
   // seq-sorted; empty whenever chooser_ is unset.
   std::vector<QEntry> ready_batch_;
+  // Anchored schedules awaiting their anchor tick.
+  struct Anchored {
+    StepKey key;
+    Tick anchor;
+    Tick when;
+    std::uint32_t slot;  // holds the callback; freed when flushed
+    std::uint64_t seq;
+    EventId* handle;
+  };
+  std::map<Tick, std::vector<Anchored>> anchored_;  // by anchor tick
+  std::map<Tick, std::vector<Anchored>> late_anchored_;  // by firing tick
   std::vector<EventSlot> events_;
   std::vector<std::uint32_t> free_events_;
   std::vector<TrainSlot> trains_;

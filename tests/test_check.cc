@@ -197,13 +197,7 @@ TEST(Inject, ImplausibleEpochIsDroppedNotJoined) {
   p.payload = msg.Serialize();
   PacketRef pkt = MakePacket(std::move(p));
   net.sim().ScheduleAfter(kMillisecond, [&net, pkt] {
-    CpPort& cp = net.switch_at(0).cp_port();
-    cp.NoteArrivalPort(1);
-    cp.SendBegin(pkt);
-    for (std::uint32_t i = 0; i < pkt->WireSize(); ++i) {
-      cp.SendByte(pkt, i);
-    }
-    cp.SendEnd(EndFlags{});
+    net.switch_at(0).cp_port().DeliverAsIfReceived(pkt, 1);
   });
   net.Run(5 * kSecond);
 
@@ -247,13 +241,7 @@ TEST(Inject, SuspectEpochHeldUntilConfirmedBySecondSighting) {
   p.payload = msg.Serialize();
   PacketRef pkt = MakePacket(std::move(p));
   auto deliver = [&net, pkt] {
-    CpPort& cp = net.switch_at(0).cp_port();
-    cp.NoteArrivalPort(1);
-    cp.SendBegin(pkt);
-    for (std::uint32_t i = 0; i < pkt->WireSize(); ++i) {
-      cp.SendByte(pkt, i);
-    }
-    cp.SendEnd(EndFlags{});
+    net.switch_at(0).cp_port().DeliverAsIfReceived(pkt, 1);
   };
 
   // First sighting: held, not joined.

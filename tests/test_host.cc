@@ -11,13 +11,14 @@ namespace {
 // A switch-side stand-in that records symbols and can throttle the host.
 class FakeSwitchPort : public LinkEndpoint {
  public:
-  void OnPacketBegin(const PacketRef& packet) override {
-    current = packet;
+  void OnPacketBegin(const SpanRef& span) override {
+    current = span->packet;
+    spans.push_back(span);
     bytes = 0;
   }
-  void OnDataByte(const PacketRef&, std::uint32_t, bool) override { ++bytes; }
-  void OnPacketEnd(EndFlags flags) override {
-    received.push_back({current, flags.corrupted, flags.truncated});
+  void OnPacketEnd(const Span& span) override {
+    bytes = span.planned() - span.first;
+    received.push_back({current, span.flags.corrupted, span.flags.truncated});
     byte_counts.push_back(bytes);
     current = nullptr;
   }
@@ -30,11 +31,25 @@ class FakeSwitchPort : public LinkEndpoint {
     bool truncated;
   };
   std::vector<Rx> received;
+  std::vector<SpanRef> spans;
   std::vector<std::uint32_t> byte_counts;
   std::vector<FlowDirective> directives;
   PacketRef current;
   std::uint32_t bytes = 0;
 };
+
+// Transmits `pkt` whole from `side` of `link`: begin now, the bytes on the
+// following data slots, the end in the slot after the last byte.
+void TransmitWhole(Simulator& sim, Link& link, Link::Side side,
+                   const PacketRef& pkt) {
+  link.TransmitBegin(side, pkt);
+  std::uint32_t size = static_cast<std::uint32_t>(pkt->WireSize());
+  std::int64_t first = DataIndexAfter(sim.now());
+  link.PlanBytes(side, 0, ByteRuns{ByteRun{0, size, first, sim.now(),
+                                           DataSlotStart(first)}});
+  sim.RunUntil(DataSlotStart(first + size));
+  link.TransmitEnd(side, EndFlags{});
+}
 
 PacketRef SmallPacket(std::size_t data = 16,
                       ShortAddress dest = ShortAddress(0x25)) {
@@ -168,11 +183,7 @@ TEST_F(ControllerTest, ReceivesAndChecksPackets) {
   ctl_->SetReceiveHandler([&](Delivery d) { got.push_back(d); });
   PacketRef pkt = SmallPacket(40);
   // Transmit from the switch side at slot cadence.
-  link0_->TransmitBegin(Link::Side::kB, pkt);
-  for (std::uint32_t i = 0; i < pkt->WireSize(); ++i) {
-    link0_->TransmitByte(Link::Side::kB, pkt, i);
-  }
-  link0_->TransmitEnd(Link::Side::kB, EndFlags{});
+  TransmitWhole(sim_, *link0_, Link::Side::kB, pkt);
   sim_.RunUntil(sim_.now() + 1 * kMillisecond);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_TRUE(got[0].intact());
@@ -190,16 +201,41 @@ TEST_F(ControllerTest, SlowHostDiscardsInsteadOfStopping) {
 
   for (int i = 0; i < 5; ++i) {
     PacketRef pkt = SmallPacket(60);
-    link.TransmitBegin(Link::Side::kB, pkt);
-    for (std::uint32_t b = 0; b < pkt->WireSize(); ++b) {
-      link.TransmitByte(Link::Side::kB, pkt, b);
-    }
-    link.TransmitEnd(Link::Side::kB, EndFlags{});
+    TransmitWhole(sim_, link, Link::Side::kB, pkt);
   }
   sim_.RunUntil(sim_.now() + 1 * kMillisecond);
   EXPECT_GT(slow.stats().rx_discarded_full, 0u);
   // Crucially, the controller never sent stop: hosts may not.
   EXPECT_NE(link.flow_directive(Link::Side::kA), FlowDirective::kStop);
+}
+
+TEST_F(ControllerTest, StopMidPacketSplitsTheSpanAndStartResumesIt) {
+  // A stop reaching the host mid-packet ends the first run of bytes at the
+  // last data slot before it arrives; the start that follows resumes the
+  // packet at the first data slot after it arrives.
+  const Tick period = kFlowSlotPeriod * kSlotNs;
+  const Tick d = PropagationDelayNs(0.01);
+  sim_.RunUntil(3 * period - 40 * kSlotNs);
+  ASSERT_TRUE(ctl_->Send(SmallPacket(400)));
+  link0_->SetFlowDirective(Link::Side::kB, FlowDirective::kStop);
+  sim_.RunUntil(5 * period);
+  link0_->SetFlowDirective(Link::Side::kB, FlowDirective::kStart);
+  sim_.RunUntil(sim_.now() + 1 * kMillisecond);
+
+  ASSERT_EQ(switch0_.spans.size(), 1u);
+  const Span& span = *switch0_.spans[0];
+  ASSERT_EQ(span.runs.size(), 2u);
+  const ByteRun& before = span.runs[0];
+  const ByteRun& after = span.runs[1];
+  Tick stop_at = 3 * period + d;   // next flow slot after the change
+  Tick start_at = 5 * period + d;  // changed on a flow slot: sent at once
+  EXPECT_EQ(before.SlotOf(before.end() - 1), 3 * period - kSlotNs);
+  EXPECT_LT(before.SlotOf(before.end() - 1), stop_at);
+  EXPECT_EQ(after.offset, before.end());
+  EXPECT_EQ(after.SlotOf(after.offset), NextDataSlotAfter(start_at));
+  ASSERT_EQ(switch0_.received.size(), 1u);
+  EXPECT_FALSE(switch0_.received[0].truncated);
+  EXPECT_EQ(switch0_.byte_counts[0], SmallPacket(400)->WireSize());
 }
 
 TEST_F(ControllerTest, LinkErrorVisibleOnCut) {

@@ -12,21 +12,22 @@ namespace {
 // Records everything it receives.
 class RecordingEndpoint : public LinkEndpoint {
  public:
-  void OnPacketBegin(const PacketRef& packet) override {
-    begins.push_back(packet);
+  void OnPacketBegin(const SpanRef& span) override {
+    begins.push_back(span->packet);
+    spans.push_back(span);
   }
-  void OnDataByte(const PacketRef&, std::uint32_t offset,
-                  bool corrupt) override {
-    bytes.push_back(offset);
-    if (corrupt) {
-      ++corrupt_bytes;
+  void OnPacketEnd(const Span& span) override {
+    for (std::uint32_t k = span.first; k < span.planned(); ++k) {
+      bytes.push_back(k);
     }
+    corrupt_bytes += static_cast<int>(span.corrupt.size());
+    ends.push_back(span.flags);
   }
-  void OnPacketEnd(EndFlags flags) override { ends.push_back(flags); }
   void OnFlowDirective(FlowDirective d) override { directives.push_back(d); }
   void OnCarrierChange(bool up) override { carrier_changes.push_back(up); }
 
   std::vector<PacketRef> begins;
+  std::vector<SpanRef> spans;
   std::vector<std::uint32_t> bytes;
   std::vector<EndFlags> ends;
   std::vector<FlowDirective> directives;
@@ -41,6 +42,19 @@ PacketRef TestPacket() {
   p.type = PacketType::kReconfig;
   p.payload = {1, 2, 3};
   return MakePacket(std::move(p));
+}
+
+// Transmits `bytes` bytes of `pkt` from side A: begin now, bytes on the
+// following data slots, end in the slot after the last byte.
+void TransmitWhole(Simulator& sim, Link& link, const PacketRef& pkt,
+                   std::uint32_t bytes) {
+  link.TransmitBegin(Link::Side::kA, pkt);
+  std::int64_t first = DataIndexAfter(sim.now());
+  link.PlanBytes(Link::Side::kA, 0,
+                 ByteRuns{ByteRun{0, bytes, first, sim.now(),
+                                  DataSlotStart(first)}});
+  sim.RunUntil(DataSlotStart(first + bytes));
+  link.TransmitEnd(Link::Side::kA, EndFlags{});
 }
 
 TEST(Slots, FlowSlotEvery256) {
@@ -70,17 +84,16 @@ TEST(Link, DeliversSymbolsAfterPropagationDelay) {
   link.Attach(Link::Side::kB, &b);
 
   PacketRef pkt = TestPacket();
-  link.TransmitBegin(Link::Side::kA, pkt);
-  link.TransmitByte(Link::Side::kA, pkt, 0);
-  link.TransmitEnd(Link::Side::kA, EndFlags{});
+  TransmitWhole(sim, link, pkt, 1);  // begin at 0, byte in slot 1, end in 2
   sim.Run();
 
   ASSERT_EQ(b.begins.size(), 1u);
   EXPECT_EQ(b.begins[0]->id, pkt->id);
+  EXPECT_EQ(b.spans[0]->ArrivalOf(0), kSlotNs + PropagationDelayNs(1.0));
   EXPECT_EQ(b.bytes, (std::vector<std::uint32_t>{0}));
   ASSERT_EQ(b.ends.size(), 1u);
   EXPECT_FALSE(b.ends[0].truncated);
-  EXPECT_EQ(sim.now(), PropagationDelayNs(1.0));
+  EXPECT_EQ(sim.now(), 2 * kSlotNs + PropagationDelayNs(1.0));
   EXPECT_TRUE(a.begins.empty());  // nothing came back
 }
 
@@ -261,11 +274,7 @@ TEST(Link, CorruptionRateDamagesBytes) {
   link.SetCorruptionRate(1.0);
 
   PacketRef pkt = TestPacket();
-  link.TransmitBegin(Link::Side::kA, pkt);
-  for (std::uint32_t i = 0; i < 10; ++i) {
-    link.TransmitByte(Link::Side::kA, pkt, i);
-  }
-  link.TransmitEnd(Link::Side::kA, EndFlags{});
+  TransmitWhole(sim, link, pkt, 10);
   sim.Run();
   EXPECT_EQ(b.corrupt_bytes, 10);
 }
@@ -279,6 +288,60 @@ TEST(Link, TruncatedEndFlagPropagates) {
   link.TransmitEnd(Link::Side::kA, EndFlags{.truncated = true});
   sim.Run();
   ASSERT_EQ(b.ends.size(), 1u);
+  EXPECT_TRUE(b.ends[0].truncated);
+}
+
+// --- span arithmetic --------------------------------------------------------
+
+TEST(Span, RunCrossingAFlowSlotSkipsIt) {
+  // Ten bytes starting in slot 251: slots 251..255, then 257..261 — slot
+  // 256 carries flow control, never data.
+  Simulator sim;
+  Link link(&sim, 0.01);
+  RecordingEndpoint b;
+  link.Attach(Link::Side::kB, &b);
+  sim.RunUntil(250 * kSlotNs);
+  TransmitWhole(sim, link, TestPacket(), 10);
+  sim.Run();
+  ASSERT_EQ(b.spans.size(), 1u);
+  const Span& span = *b.spans[0];
+  Tick d = PropagationDelayNs(0.01);
+  for (std::uint32_t k = 0; k < 5; ++k) {
+    EXPECT_EQ(span.ArrivalOf(k), (251 + k) * kSlotNs + d) << k;
+  }
+  for (std::uint32_t k = 5; k < 10; ++k) {
+    EXPECT_EQ(span.ArrivalOf(k), (252 + k) * kSlotNs + d) << k;
+  }
+  // Arrival counting agrees with the slot arithmetic on both sides of the
+  // skipped slot.
+  EXPECT_EQ(span.ArrivedBefore(255 * kSlotNs + d + 1), 5u);
+  EXPECT_EQ(span.ArrivedBefore(257 * kSlotNs + d), 5u);
+  EXPECT_EQ(span.ArrivedBefore(257 * kSlotNs + d + 1), 6u);
+  EXPECT_EQ(b.ends.size(), 1u);
+  EXPECT_EQ(sim.now(), 262 * kSlotNs + d);  // end in the slot after byte 9
+}
+
+TEST(Span, WithdrawnTailNeverArrives) {
+  // A transmitter that revises its plan keeps the bytes already sent and
+  // loses the rest; the receiver sees only what was on the wire.
+  Simulator sim;
+  Link link(&sim, 0.1);
+  RecordingEndpoint b;
+  link.Attach(Link::Side::kB, &b);
+  PacketRef pkt = TestPacket();
+  link.TransmitBegin(Link::Side::kA, pkt);
+  std::int64_t first = DataIndexAfter(0);
+  link.PlanBytes(Link::Side::kA, 0,
+                 ByteRuns{ByteRun{0, 100, first, 0, DataSlotStart(first)}});
+  sim.RunUntil(DataSlotStart(first + 30) - 1);  // 30 bytes are out
+  std::uint32_t sent = SentBefore(ByteRuns{ByteRun{0, 100, first}}, 0,
+                                  sim.now());
+  EXPECT_EQ(sent, 30u);
+  link.PlanBytes(Link::Side::kA, sent, ByteRuns{});
+  link.TransmitEnd(Link::Side::kA, EndFlags{.truncated = true});
+  sim.Run();
+  ASSERT_EQ(b.ends.size(), 1u);
+  EXPECT_EQ(b.bytes.size(), 30u);
   EXPECT_TRUE(b.ends[0].truncated);
 }
 

@@ -272,54 +272,6 @@ TEST(SimulatorTrain, RawTrainFires) {
   EXPECT_EQ(sim.now(), 210);
 }
 
-TEST(SimulatorTrain, ParkAndResume) {
-  Simulator sim;
-  std::vector<Tick> fires;
-  auto id = sim.ScheduleTrain(100, 0, 0, [&](std::uint32_t k) {
-    fires.push_back(sim.now());
-    return k == 0 ? Simulator::TrainStep::Park()
-                  : Simulator::TrainStep::Done();
-  });
-  sim.Run();
-  EXPECT_EQ(fires, (std::vector<Tick>{100}));
-  EXPECT_TRUE(sim.empty());  // parked trains are not pending
-  EXPECT_TRUE(sim.ResumeTrain(id, 300));
-  EXPECT_FALSE(sim.ResumeTrain(id, 300));  // not parked while queued
-  sim.Run();
-  EXPECT_EQ(fires, (std::vector<Tick>{100, 300}));
-  EXPECT_FALSE(sim.ResumeTrain(id, 400));  // train ended; slot released
-}
-
-TEST(SimulatorTrain, CancelOfParkedTrainFreesSlot) {
-  Simulator sim;
-  auto id = sim.ScheduleTrain(10, 0, 0, [&](std::uint32_t) {
-    return Simulator::TrainStep::Park();
-  });
-  sim.Run();
-  EXPECT_TRUE(sim.Cancel(id));
-  EXPECT_FALSE(sim.ResumeTrain(id, 100));
-  EXPECT_FALSE(sim.Cancel(id));
-  sim.Run();
-  EXPECT_TRUE(sim.empty());
-}
-
-TEST(SimulatorTrain, ResumeInPastClampsToNow) {
-  Simulator sim;
-  std::vector<Tick> fires;
-  auto id = sim.ScheduleTrain(100, 0, 0, [&](std::uint32_t k) {
-    fires.push_back(sim.now());
-    return k == 0 ? Simulator::TrainStep::Park()
-                  : Simulator::TrainStep::Done();
-  });
-  sim.RunUntil(1000);
-  auto* clamped = sim.metrics().GetCounter("sim.schedule_past_clamped");
-  std::uint64_t before = clamped->value();
-  EXPECT_TRUE(sim.ResumeTrain(id, 500));  // in the past
-  sim.Run();
-  EXPECT_EQ(fires, (std::vector<Tick>{100, 1000}));
-  EXPECT_EQ(clamped->value(), before + 1);
-}
-
 TEST(Simulator, InterleavedCancelAndDispatchAtSameTick) {
   // Events and a train all at one timestamp, with handlers cancelling
   // not-yet-fired entries at that same tick.  Exercises the stale-entry
