@@ -22,7 +22,6 @@
 //   chaosrun --compare-jobs1          rerun single-threaded, record speedup
 //   chaosrun --list / --dump-corpus   inspect what would run
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -32,6 +31,7 @@
 #include "src/adversary/spec.h"
 #include "src/chaos/corpus.h"
 #include "src/chaos/runner.h"
+#include "src/common/text.h"
 #include "src/workload/spec.h"
 
 using namespace autonet;
@@ -60,6 +60,18 @@ int Usage(const char* argv0) {
       "  --dump-corpus     print the corpus text, run nothing\n",
       argv0);
   return 2;
+}
+
+// Reads a count or seed flag's value strictly.  A missing, negative or
+// malformed value is reported against the flag; the caller prints usage.
+template <typename Int>
+bool ReadCount(const std::string& flag, const char* v, Int* out) {
+  if (v != nullptr && v[0] != '-' && ParseInt(v, out)) {
+    return true;
+  }
+  std::fprintf(stderr, "%s needs a non-negative integer, got '%s'\n",
+               flag.c_str(), v != nullptr ? v : "");
+  return false;
 }
 
 }  // namespace
@@ -118,17 +130,13 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--seeds") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      seed_count = std::atoi(v);
+      if (!ReadCount(arg, next(), &seed_count)) return Usage(argv[0]);
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      seeds.push_back(std::strtoull(v, nullptr, 10));
+      std::uint64_t seed = 0;
+      if (!ReadCount(arg, next(), &seed)) return Usage(argv[0]);
+      seeds.push_back(seed);
     } else if (arg == "--jobs") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      jobs = std::atoi(v);
+      if (!ReadCount(arg, next(), &jobs)) return Usage(argv[0]);
     } else if (arg == "--report") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
@@ -227,7 +235,7 @@ int main(int argc, char** argv) {
     std::printf("scenarios:\n");
     for (const Scenario& s : scenarios) {
       std::printf("  %-24s %2zu actions, script end %s\n", s.name.c_str(),
-                  s.actions.size(), FormatTime(s.ScriptEnd()).c_str());
+                  s.actions.size(), FormatTick(s.ScriptEnd()).c_str());
     }
     std::printf("topologies:");
     for (const TopologyCase& t : topologies) {

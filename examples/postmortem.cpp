@@ -16,7 +16,6 @@
 //                                      prints below the actions)
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -31,6 +30,7 @@
 #include "src/chaos/oracles.h"
 #include "src/chaos/runner.h"
 #include "src/check/explore.h"
+#include "src/common/text.h"
 #include "src/core/network.h"
 #include "src/obs/postmortem.h"
 
@@ -94,8 +94,11 @@ int main(int argc, char** argv) {
       topo_name = v;
     } else if (arg == "--seed") {
       const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      seed = std::strtoull(v, nullptr, 10);
+      if (v == nullptr || v[0] == '-' || !ParseInt(v, &seed)) {
+        std::fprintf(stderr, "--seed needs a non-negative integer, got '%s'\n",
+                     v != nullptr ? v : "");
+        return Usage(argv[0]);
+      }
     } else if (arg == "--corpus") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);

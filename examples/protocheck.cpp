@@ -15,12 +15,12 @@
 //                                           reproducer form)
 //   protocheck --report out.json            write the sweep report
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "src/check/explore.h"
 #include "src/check/fuzz.h"
+#include "src/common/text.h"
 
 using namespace autonet;
 using namespace autonet::check;
@@ -48,6 +48,18 @@ int Usage(const char* argv0) {
       "  --list            print known topologies, run nothing\n",
       argv0);
   return 2;
+}
+
+// Reads a count or seed flag's value strictly.  A missing, negative or
+// malformed value is reported against the flag; the caller prints usage.
+template <typename Int>
+bool ReadCount(const std::string& flag, const char* v, Int* out) {
+  if (v != nullptr && v[0] != '-' && ParseInt(v, out)) {
+    return true;
+  }
+  std::fprintf(stderr, "%s needs a non-negative integer, got '%s'\n",
+               flag.c_str(), v != nullptr ? v : "");
+  return false;
 }
 
 void PrintFindings(const std::vector<FuzzFinding>& findings) {
@@ -87,21 +99,15 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     if (arg == "--fuzz") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      fuzz_cases = std::atoi(v);
+      if (!ReadCount(arg, next(), &fuzz_cases)) return Usage(argv[0]);
     } else if (arg == "--fuzz-seed") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      fuzz_seed = std::strtoull(v, nullptr, 10);
+      if (!ReadCount(arg, next(), &fuzz_seed)) return Usage(argv[0]);
     } else if (arg == "--corpus") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
       corpus_file = v;
     } else if (arg == "--inject") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      inject_count = std::atoi(v);
+      if (!ReadCount(arg, next(), &inject_count)) return Usage(argv[0]);
     } else if (arg == "--inject-target") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
@@ -111,13 +117,9 @@ int main(int argc, char** argv) {
       if (v == nullptr) return Usage(argv[0]);
       sweep_topo = v;
     } else if (arg == "--budget") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      budget = std::atoi(v);
+      if (!ReadCount(arg, next(), &budget)) return Usage(argv[0]);
     } else if (arg == "--max-points") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      max_points = std::atoi(v);
+      if (!ReadCount(arg, next(), &max_points)) return Usage(argv[0]);
     } else if (arg == "--replay") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
@@ -127,13 +129,9 @@ int main(int argc, char** argv) {
       if (v == nullptr) return Usage(argv[0]);
       topo = v;
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      seed = std::strtoull(v, nullptr, 10);
+      if (!ReadCount(arg, next(), &seed)) return Usage(argv[0]);
     } else if (arg == "--jobs") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      jobs = std::atoi(v);
+      if (!ReadCount(arg, next(), &jobs)) return Usage(argv[0]);
     } else if (arg == "--report") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);

@@ -1,9 +1,8 @@
 #include "src/adversary/spec.h"
 
-#include <cctype>
-#include <cmath>
-#include <cstdio>
 #include <sstream>
+
+#include "src/common/text.h"
 
 namespace autonet {
 namespace adversary {
@@ -32,74 +31,7 @@ const char* StrategyName(Strategy strategy) {
   return "none";
 }
 
-std::string TimeText(Tick t) {
-  auto exact = [&](Tick unit) { return t % unit == 0; };
-  char buf[32];
-  if (t != 0 && exact(kSecond)) {
-    std::snprintf(buf, sizeof buf, "%llds", static_cast<long long>(t / kSecond));
-  } else if (t != 0 && exact(kMillisecond)) {
-    std::snprintf(buf, sizeof buf, "%lldms",
-                  static_cast<long long>(t / kMillisecond));
-  } else if (t != 0 && exact(kMicrosecond)) {
-    std::snprintf(buf, sizeof buf, "%lldus",
-                  static_cast<long long>(t / kMicrosecond));
-  } else {
-    std::snprintf(buf, sizeof buf, "%lldns", static_cast<long long>(t));
-  }
-  return buf;
-}
-
 namespace {
-
-bool ParseTime(const std::string& tok, Tick* out) {
-  std::size_t i = 0;
-  while (i < tok.size() &&
-         (std::isdigit(static_cast<unsigned char>(tok[i])) || tok[i] == '.')) {
-    ++i;
-  }
-  if (i == 0 || i == tok.size()) {
-    return false;
-  }
-  double value;
-  try {
-    std::size_t consumed;
-    value = std::stod(tok.substr(0, i), &consumed);
-    if (consumed != i) {
-      return false;
-    }
-  } catch (...) {
-    return false;
-  }
-  std::string unit = tok.substr(i);
-  double scale;
-  if (unit == "ns") {
-    scale = 1.0;
-  } else if (unit == "us") {
-    scale = kMicrosecond;
-  } else if (unit == "ms") {
-    scale = kMillisecond;
-  } else if (unit == "s") {
-    scale = kSecond;
-  } else {
-    return false;
-  }
-  *out = static_cast<Tick>(std::llround(value * scale));
-  return true;
-}
-
-bool ParseCount(const std::string& tok, long long* out) {
-  try {
-    std::size_t consumed;
-    long long v = std::stoll(tok, &consumed);
-    if (consumed != tok.size() || v < 0) {
-      return false;
-    }
-    *out = v;
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
 
 bool ValidPhase(const std::string& phase) {
   return phase == "monitor" || phase == "tree" || phase == "fanin" ||
@@ -128,9 +60,9 @@ std::string Spec::ToText() const {
   if (strategy == Strategy::kNone) {
     return out.str();
   }
-  out << " moves " << moves << " duration " << TimeText(duration);
+  out << " moves " << moves << " duration " << FormatTick(duration);
   if (period > 0) {
-    out << " period " << TimeText(period);
+    out << " period " << FormatTick(period);
   }
   switch (strategy) {
     case Strategy::kPhaseSnipe:
@@ -164,69 +96,53 @@ bool ParseSpec(const std::vector<std::string>& tokens, std::size_t start,
   }
   Spec spec;
   const std::string& strategy = tokens[start];
-  if (strategy == "none") {
-    spec.strategy = Strategy::kNone;
-  } else if (strategy == "root-chase") {
-    spec.strategy = Strategy::kRootChase;
-  } else if (strategy == "phase-snipe") {
-    spec.strategy = Strategy::kPhaseSnipe;
-  } else if (strategy == "storm") {
-    spec.strategy = Strategy::kStorm;
-  } else if (strategy == "flap-resonance") {
-    spec.strategy = Strategy::kFlapResonance;
-  } else if (strategy == "corrupt-table") {
-    spec.strategy = Strategy::kCorruptTable;
-  } else if (strategy == "corrupt-skeptic") {
-    spec.strategy = Strategy::kCorruptSkeptic;
-  } else if (strategy == "corrupt-port") {
-    spec.strategy = Strategy::kCorruptPort;
-  } else if (strategy == "corrupt-epoch") {
-    spec.strategy = Strategy::kCorruptEpoch;
-  } else {
-    return fail("unknown adversary strategy '" + strategy + "'");
+  // Look the name up by walking the enum, kNone through kCorruptEpoch.
+  while (strategy != StrategyName(spec.strategy)) {
+    if (spec.strategy == Strategy::kCorruptEpoch) {
+      return fail("unknown adversary strategy '" + strategy + "'");
+    }
+    spec.strategy = static_cast<Strategy>(static_cast<int>(spec.strategy) + 1);
   }
-  for (std::size_t i = start + 1; i < tokens.size(); i += 2) {
-    if (i + 1 >= tokens.size()) {
-      return fail("adversary key '" + tokens[i] + "' is missing a value");
-    }
-    const std::string& key = tokens[i];
-    const std::string& value = tokens[i + 1];
-    long long count = 0;
-    Tick t = 0;
-    if (key == "moves") {
-      if (!ParseCount(value, &count) || count == 0 || count > 1000) {
-        return fail("bad moves '" + value + "' (1..1000)");
-      }
-      spec.moves = static_cast<int>(count);
-    } else if (key == "duration") {
-      if (!ParseTime(value, &t) || t <= 0) {
-        return fail("bad duration '" + value + "'");
-      }
-      spec.duration = t;
-    } else if (key == "period") {
-      if (!ParseTime(value, &t) || t <= 0) {
-        return fail("bad period '" + value + "'");
-      }
-      spec.period = t;
-    } else if (key == "phase") {
-      if (!ValidPhase(value)) {
-        return fail("bad phase '" + value +
-                    "' (monitor|tree|fanin|compute|install)");
-      }
-      spec.phase = value;
-    } else if (key == "burst") {
-      if (!ParseCount(value, &count) || count == 0 || count > 64) {
-        return fail("bad burst '" + value + "' (1..64)");
-      }
-      spec.burst = static_cast<int>(count);
-    } else if (key == "amount") {
-      if (!ParseCount(value, &count)) {
-        return fail("bad amount '" + value + "'");
-      }
-      spec.amount = static_cast<std::uint64_t>(count);
-    } else {
-      return fail("unknown adversary key '" + key + "'");
-    }
+  // Every count but `amount` is at least 1: amount 0 selects the runaway
+  // epoch jump.
+  std::string why = ReadKeyValues(
+      tokens, start + 1,
+      [&](const std::string& key, const std::string& value) -> std::string {
+        if (key == "moves") {
+          if (!ParseInt(value, &spec.moves) || spec.moves < 1 ||
+              spec.moves > 1000) {
+            return "bad moves '" + value + "' (1..1000)";
+          }
+        } else if (key == "duration") {
+          if (!ParseTick(value, &spec.duration) || spec.duration <= 0) {
+            return "bad duration '" + value + "'";
+          }
+        } else if (key == "period") {
+          if (!ParseTick(value, &spec.period) || spec.period <= 0) {
+            return "bad period '" + value + "'";
+          }
+        } else if (key == "phase") {
+          if (!ValidPhase(value)) {
+            return "bad phase '" + value +
+                   "' (monitor|tree|fanin|compute|install)";
+          }
+          spec.phase = value;
+        } else if (key == "burst") {
+          if (!ParseInt(value, &spec.burst) || spec.burst < 1 ||
+              spec.burst > 64) {
+            return "bad burst '" + value + "' (1..64)";
+          }
+        } else if (key == "amount") {
+          if (!ParseInt(value, &spec.amount)) {
+            return "bad amount '" + value + "'";
+          }
+        } else {
+          return "unknown adversary key '" + key + "'";
+        }
+        return "";
+      });
+  if (!why.empty()) {
+    return fail(why);
   }
   if (error != nullptr) {
     error->clear();
@@ -236,22 +152,7 @@ bool ParseSpec(const std::vector<std::string>& tokens, std::size_t start,
 }
 
 bool ParseSpecText(const std::string& text, Spec* out, std::string* error) {
-  std::vector<std::string> tokens;
-  std::string cur;
-  for (char c : text) {
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      if (!cur.empty()) {
-        tokens.push_back(std::move(cur));
-        cur.clear();
-      }
-    } else {
-      cur.push_back(c);
-    }
-  }
-  if (!cur.empty()) {
-    tokens.push_back(std::move(cur));
-  }
-  return ParseSpec(tokens, 0, out, error);
+  return ParseSpec(Tokenize(text), 0, out, error);
 }
 
 }  // namespace adversary

@@ -29,11 +29,6 @@ enum class Strategy : std::uint8_t {
 
 const char* StrategyName(Strategy strategy);
 
-// Time literal in the scenario grammar's forms ("250ms", "3s"); kept here
-// because chaos depends on adversary, not the other way around.  Used by
-// Spec::ToText and the engine's transcript lines.
-std::string TimeText(Tick t);
-
 struct Spec {
   Strategy strategy = Strategy::kNone;
   int moves = 4;                 // attack moves before the adversary retires
@@ -54,15 +49,17 @@ struct Spec {
   // The text form, omitting knobs the strategy does not use.  Round-trips
   // through ParseSpecText.
   std::string ToText() const;
+
+  bool operator==(const Spec&) const = default;
 };
 
 // Parses `tokens[start..]` as `<strategy> [key value]...` where keys are
-// moves/duration/period/phase/burst/amount and times take unit suffixes
-// (ns/us/ms/s).  Returns false with *error set on a bad token.
+// moves/duration/period/phase/burst/amount, each at most once, and times take
+// unit suffixes (ns/us/ms/s).  Returns false with *error set on a bad token.
 bool ParseSpec(const std::vector<std::string>& tokens, std::size_t start,
                Spec* out, std::string* error);
 
-// Convenience: tokenizes `text` (whitespace-separated) and calls ParseSpec.
+// Convenience: tokenizes `text` (see Tokenize) and calls ParseSpec.
 bool ParseSpecText(const std::string& text, Spec* out, std::string* error);
 
 }  // namespace adversary

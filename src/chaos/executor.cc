@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/common/text.h"
+
 namespace autonet {
 namespace chaos {
 
@@ -11,12 +13,7 @@ namespace {
 // independent victim choices in different scenarios while staying fully
 // determined by (scenario, seed).
 std::uint64_t MixSeed(std::uint64_t seed, const std::string& name) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
-  for (char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h ^ seed;
+  return Fnv1a(kFingerprintBasis, name) ^ seed;
 }
 
 }  // namespace
@@ -62,7 +59,7 @@ ScenarioExecutor::ScenarioExecutor(Network* net, const Scenario& scenario,
 
 void ScenarioExecutor::Describe(const Action& a, std::size_t index) {
   int target = targets_[index];
-  std::string desc = "t=" + FormatTime(a.at) + " ";
+  std::string desc = "t=" + FormatTick(a.at) + " ";
   switch (a.kind) {
     case Action::Kind::kCutCable:
       desc += "cut cable " + std::to_string(target);
@@ -94,20 +91,20 @@ void ScenarioExecutor::Describe(const Action& a, std::size_t index) {
       break;
     case Action::Kind::kFlapCable:
       desc += "flap cable " + std::to_string(target) + " period " +
-              FormatTime(a.period) + " until " + FormatTime(a.until);
+              FormatTick(a.period) + " until " + FormatTick(a.until);
       break;
     case Action::Kind::kBurstCables:
       for (int cable : burst_targets_[index]) {
-        resolved_.push_back("t=" + FormatTime(a.at) + " burst-cut cable " +
+        resolved_.push_back("t=" + FormatTick(a.at) + " burst-cut cable " +
                             std::to_string(cable) + " until " +
-                            FormatTime(a.until));
+                            FormatTick(a.until));
       }
       return;
     case Action::Kind::kBurstSwitches:
       for (int sw : burst_targets_[index]) {
-        resolved_.push_back("t=" + FormatTime(a.at) + " burst-crash switch " +
+        resolved_.push_back("t=" + FormatTick(a.at) + " burst-crash switch " +
                             std::to_string(sw) +
-                            (a.until >= a.at ? " until " + FormatTime(a.until)
+                            (a.until >= a.at ? " until " + FormatTick(a.until)
                                              : std::string()));
       }
       return;

@@ -4,6 +4,7 @@
 #include <map>
 
 #include "src/chaos/scenario.h"
+#include "src/common/text.h"
 #include "src/routing/verify.h"
 
 namespace autonet {
@@ -110,7 +111,7 @@ class ConvergenceOracle : public Oracle {
     Network& net = *ctx.net;
     if (!net.WaitForConsistency(ctx.deadline, ctx.quiet)) {
       std::string why = net.CheckConsistency();
-      return "no consistent configuration by t=" + FormatTime(ctx.deadline) +
+      return "no consistent configuration by t=" + FormatTick(ctx.deadline) +
              (why.empty() ? ": still quiescing" : ": " + why);
     }
     ctx.converged_at = net.sim().now();
@@ -321,7 +322,7 @@ class PortSanityOracle : public Oracle {
         return "";
       }
     }
-    return detail + " (still after " + FormatTime(waited) +
+    return detail + " (still after " + FormatTick(waited) +
            " of skeptic budget)";
   }
 

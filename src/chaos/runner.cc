@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <map>
 #include <thread>
 
 #include "src/adversary/adversary.h"
 #include "src/chaos/executor.h"
+#include "src/common/text.h"
 #include "src/obs/json.h"
 #include "src/obs/postmortem.h"
 #include "src/workload/engine.h"
@@ -17,36 +17,6 @@ namespace autonet {
 namespace chaos {
 
 namespace {
-
-std::uint64_t Fnv1a(std::uint64_t h, const void* data, std::size_t size) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::uint64_t Fnv1a(std::uint64_t h, const std::string& s) {
-  return Fnv1a(h, s.data(), s.size());
-}
-
-std::uint64_t HashMergedLog(const Network& net) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const LogEntry& e : net.MergedLog()) {
-    h = Fnv1a(h, &e.time, sizeof e.time);
-    h = Fnv1a(h, e.node);
-    h = Fnv1a(h, e.message);
-  }
-  return h;
-}
-
-std::string HexU64(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 double WallMsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
@@ -83,7 +53,8 @@ TopoSpec TopologyByName(const std::string& name, std::string* error) {
   }
   if (name == "small3") {
     // A triangle: the smallest topology where a cut leaves redundancy (the
-    // SLO smoke topology — a cable cut must be a pause, not a partition).
+    // SLO smoke topology — a cable cut must be a pause, not a partition —
+    // and the explorer's, where position races have real alternatives).
     TopoSpec spec;
     spec.AddSwitch("s0");
     spec.AddSwitch("s1");
@@ -168,7 +139,7 @@ RunResult RunOne(const CampaignConfig& config, const Scenario& scenario,
                        config.convergence_per_hop * HealthyDiameter(net);
   if (!net.WaitForConsistency(boot_deadline, config.quiet)) {
     violate("bootstrap", "no consistent boot configuration by t=" +
-                             FormatTime(boot_deadline));
+                             FormatTick(boot_deadline));
     attach_postmortem();
     result.ok = false;
     result.wall_ms = WallMsSince(t0);
@@ -270,9 +241,8 @@ RunResult RunOne(const CampaignConfig& config, const Scenario& scenario,
     result.reconfig_ms = static_cast<double>(wave) / 1e6;
   }
 
-  result.log_hash = HashMergedLog(net);
-  result.metrics_hash =
-      Fnv1a(1469598103934665603ull, net.DumpMetricsJson());
+  result.log_hash = HashLog(net.MergedLog());
+  result.metrics_hash = Fnv1a(kFingerprintBasis, net.DumpMetricsJson());
   if (merge_metrics != nullptr) {
     merge_metrics->MergeFrom(net.sim().metrics());
   }

@@ -1,9 +1,9 @@
 #include "src/chaos/scenario.h"
 
-#include <cctype>
-#include <cmath>
-#include <cstdio>
+#include <algorithm>
 #include <sstream>
+
+#include "src/common/text.h"
 
 namespace autonet {
 namespace chaos {
@@ -110,24 +110,6 @@ Tick Scenario::ScriptEnd() const {
   return end;
 }
 
-std::string FormatTime(Tick t) {
-  auto exact = [&](Tick unit) { return t % unit == 0; };
-  char buf[32];
-  if (t != 0 && exact(kSecond)) {
-    std::snprintf(buf, sizeof buf, "%llds",
-                  static_cast<long long>(t / kSecond));
-  } else if (t != 0 && exact(kMillisecond)) {
-    std::snprintf(buf, sizeof buf, "%lldms",
-                  static_cast<long long>(t / kMillisecond));
-  } else if (t != 0 && exact(kMicrosecond)) {
-    std::snprintf(buf, sizeof buf, "%lldus",
-                  static_cast<long long>(t / kMicrosecond));
-  } else {
-    std::snprintf(buf, sizeof buf, "%lldns", static_cast<long long>(t));
-  }
-  return buf;
-}
-
 namespace {
 
 std::string FormatTarget(const Action& a) {
@@ -135,12 +117,6 @@ std::string FormatTarget(const Action& a) {
     return "?" + a.pick;
   }
   return a.target == kRandomTarget ? "random" : std::to_string(a.target);
-}
-
-std::string FormatRate(double rate) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", rate);
-  return buf;
 }
 
 }  // namespace
@@ -156,51 +132,50 @@ std::string Scenario::ToText() const {
   }
   for (const Action& a : actions) {
     out << "  ";
+    if (a.kind != Action::Kind::kFlapCable) {
+      out << "at " << FormatTick(a.at) << " ";
+    }
     switch (a.kind) {
       case Action::Kind::kCutCable:
-        out << "at " << FormatTime(a.at) << " cut cable " << FormatTarget(a);
+        out << "cut cable " << FormatTarget(a);
         break;
       case Action::Kind::kRestoreCable:
-        out << "at " << FormatTime(a.at) << " restore cable "
-            << FormatTarget(a);
+        out << "restore cable " << FormatTarget(a);
         break;
       case Action::Kind::kCrashSwitch:
-        out << "at " << FormatTime(a.at) << " crash switch "
-            << FormatTarget(a);
+        out << "crash switch " << FormatTarget(a);
         break;
       case Action::Kind::kRestartSwitch:
-        out << "at " << FormatTime(a.at) << " restart switch "
-            << FormatTarget(a);
+        out << "restart switch " << FormatTarget(a);
         break;
       case Action::Kind::kCutHostLink:
-        out << "at " << FormatTime(a.at) << " cut hostlink "
-            << FormatTarget(a) << (a.which == 0 ? " primary" : " alternate");
+        out << "cut hostlink " << FormatTarget(a)
+            << (a.which == 0 ? " primary" : " alternate");
         break;
       case Action::Kind::kRestoreHostLink:
-        out << "at " << FormatTime(a.at) << " restore hostlink "
-            << FormatTarget(a) << (a.which == 0 ? " primary" : " alternate");
+        out << "restore hostlink " << FormatTarget(a)
+            << (a.which == 0 ? " primary" : " alternate");
         break;
       case Action::Kind::kCorruptCable:
-        out << "at " << FormatTime(a.at) << " corrupt cable "
-            << FormatTarget(a) << " rate " << FormatRate(a.rate);
+        out << "corrupt cable " << FormatTarget(a) << " rate "
+            << FormatDouble(a.rate);
         break;
       case Action::Kind::kReflectCable:
-        out << "at " << FormatTime(a.at) << " reflect cable "
-            << FormatTarget(a) << " side " << (a.which == 0 ? "a" : "b");
+        out << "reflect cable " << FormatTarget(a) << " side "
+            << (a.which == 0 ? "a" : "b");
         break;
       case Action::Kind::kFlapCable:
         out << "flap cable " << FormatTarget(a) << " period "
-            << FormatTime(a.period) << " from " << FormatTime(a.at)
-            << " until " << FormatTime(a.until);
+            << FormatTick(a.period) << " from " << FormatTick(a.at)
+            << " until " << FormatTick(a.until);
         break;
       case Action::Kind::kBurstCables:
-        out << "at " << FormatTime(a.at) << " burst cables " << a.count
-            << " until " << FormatTime(a.until);
+        out << "burst cables " << a.count << " until " << FormatTick(a.until);
         break;
       case Action::Kind::kBurstSwitches:
-        out << "at " << FormatTime(a.at) << " burst switches " << a.count;
+        out << "burst switches " << a.count;
         if (a.until >= a.at) {
-          out << " until " << FormatTime(a.until);
+          out << " until " << FormatTick(a.until);
         }
         break;
     }
@@ -213,65 +188,6 @@ std::string Scenario::ToText() const {
 
 namespace {
 
-// Splits a line into whitespace-separated tokens, dropping '#' comments.
-std::vector<std::string> Tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::string cur;
-  for (char c : line) {
-    if (c == '#') {
-      break;
-    }
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      if (!cur.empty()) {
-        tokens.push_back(std::move(cur));
-        cur.clear();
-      }
-    } else {
-      cur.push_back(c);
-    }
-  }
-  if (!cur.empty()) {
-    tokens.push_back(std::move(cur));
-  }
-  return tokens;
-}
-
-bool ParseTimeLiteral(const std::string& tok, Tick* out) {
-  std::size_t i = 0;
-  while (i < tok.size() &&
-         (std::isdigit(static_cast<unsigned char>(tok[i])) || tok[i] == '.')) {
-    ++i;
-  }
-  if (i == 0 || i == tok.size()) {
-    return false;
-  }
-  double value;
-  try {
-    std::size_t consumed;
-    value = std::stod(tok.substr(0, i), &consumed);
-    if (consumed != i) {
-      return false;
-    }
-  } catch (...) {
-    return false;
-  }
-  std::string unit = tok.substr(i);
-  double scale;
-  if (unit == "ns") {
-    scale = 1.0;
-  } else if (unit == "us") {
-    scale = kMicrosecond;
-  } else if (unit == "ms") {
-    scale = kMillisecond;
-  } else if (unit == "s") {
-    scale = kSecond;
-  } else {
-    return false;
-  }
-  *out = static_cast<Tick>(std::llround(value * scale));
-  return true;
-}
-
 // `random`, `?name`, or a non-negative index.
 bool ParseTarget(const std::string& tok, int* target, std::string* pick) {
   *target = kRandomTarget;
@@ -283,17 +199,11 @@ bool ParseTarget(const std::string& tok, int* target, std::string* pick) {
     *pick = tok.substr(1);
     return true;
   }
-  try {
-    std::size_t consumed;
-    int v = std::stoi(tok, &consumed);
-    if (consumed != tok.size() || v < 0) {
-      return false;
-    }
-    *target = v;
-    return true;
-  } catch (...) {
-    return false;
-  }
+  return ParseInt(tok, target) && *target >= 0;
+}
+
+bool ParseBurstCount(const std::string& tok, int* count) {
+  return ParseInt(tok, count) && *count >= 1;
 }
 
 }  // namespace
@@ -352,9 +262,8 @@ std::vector<Scenario> ParseScenarios(const std::string& text,
       if (t.size() != 9 || t[1] != "cable" || t[3] != "period" ||
           t[5] != "from" || t[7] != "until" ||
           !ParseTarget(t[2], &a.target, &a.pick) ||
-          !ParseTimeLiteral(t[4], &a.period) ||
-          !ParseTimeLiteral(t[6], &a.at) ||
-          !ParseTimeLiteral(t[8], &a.until)) {
+          !ParseTick(t[4], &a.period) || !ParseTick(t[6], &a.at) ||
+          !ParseTick(t[8], &a.until)) {
         return fail(
             "expected: flap cable <target> period <t> from <t> until <t>");
       }
@@ -368,38 +277,30 @@ std::vector<Scenario> ParseScenarios(const std::string& text,
     if (t[0] != "at" || t.size() < 3) {
       return fail("expected: at <time> <action> ...");
     }
-    Tick at;
-    if (!ParseTimeLiteral(t[1], &at)) {
+    Action a;
+    if (!ParseTick(t[1], &a.at)) {
       return fail("bad time literal '" + t[1] + "'");
     }
     const std::string& verb = t[2];
 
     if ((verb == "cut" || verb == "restore") && t.size() >= 4 &&
         t[3] == "cable") {
-      Action a;
       a.kind = verb == "cut" ? Action::Kind::kCutCable
                              : Action::Kind::kRestoreCable;
-      a.at = at;
       if (t.size() != 5 || !ParseTarget(t[4], &a.target, &a.pick)) {
         return fail("expected: at <time> " + verb + " cable <target>");
       }
-      s.actions.push_back(a);
     } else if ((verb == "crash" || verb == "restart") && t.size() == 5 &&
                t[3] == "switch") {
-      Action a;
       a.kind = verb == "crash" ? Action::Kind::kCrashSwitch
                                : Action::Kind::kRestartSwitch;
-      a.at = at;
       if (!ParseTarget(t[4], &a.target, &a.pick)) {
         return fail("bad switch target '" + t[4] + "'");
       }
-      s.actions.push_back(a);
     } else if ((verb == "cut" || verb == "restore") && t.size() == 6 &&
                t[3] == "hostlink") {
-      Action a;
       a.kind = verb == "cut" ? Action::Kind::kCutHostLink
                              : Action::Kind::kRestoreHostLink;
-      a.at = at;
       if (!ParseTarget(t[4], &a.target, &a.pick)) {
         return fail("bad host target '" + t[4] + "'");
       }
@@ -410,29 +311,21 @@ std::vector<Scenario> ParseScenarios(const std::string& text,
       } else {
         return fail("expected 'primary' or 'alternate'");
       }
-      s.actions.push_back(a);
     } else if (verb == "corrupt" && t.size() == 7 && t[3] == "cable" &&
                t[5] == "rate") {
-      Action a;
       a.kind = Action::Kind::kCorruptCable;
-      a.at = at;
       if (!ParseTarget(t[4], &a.target, &a.pick)) {
         return fail("bad cable target '" + t[4] + "'");
       }
-      try {
-        a.rate = std::stod(t[6]);
-      } catch (...) {
+      if (!ParseDouble(t[6], &a.rate)) {
         return fail("bad corruption rate '" + t[6] + "'");
       }
       if (a.rate < 0.0 || a.rate > 1.0) {
         return fail("corruption rate must be in [0, 1]");
       }
-      s.actions.push_back(a);
     } else if (verb == "reflect" && t.size() == 7 && t[3] == "cable" &&
                t[5] == "side") {
-      Action a;
       a.kind = Action::Kind::kReflectCable;
-      a.at = at;
       if (!ParseTarget(t[4], &a.target, &a.pick)) {
         return fail("bad cable target '" + t[4] + "'");
       }
@@ -443,49 +336,32 @@ std::vector<Scenario> ParseScenarios(const std::string& text,
       } else {
         return fail("expected side 'a' or 'b'");
       }
-      s.actions.push_back(a);
     } else if (verb == "burst" && t.size() >= 5 && t[3] == "cables") {
-      Action a;
       a.kind = Action::Kind::kBurstCables;
-      a.at = at;
-      if (t.size() != 7 || t[5] != "until" ||
-          !ParseTimeLiteral(t[6], &a.until)) {
+      if (t.size() != 7 || t[5] != "until" || !ParseTick(t[6], &a.until)) {
         return fail("expected: at <time> burst cables <count> until <time>");
       }
-      try {
-        a.count = std::stoi(t[4]);
-      } catch (...) {
-        return fail("bad burst count '" + t[4] + "'");
+      if (!ParseBurstCount(t[4], &a.count)) {
+        return fail("bad burst count '" + t[4] + "' (>= 1)");
       }
-      if (a.count < 1) {
-        return fail("burst count must be >= 1");
-      }
-      s.actions.push_back(a);
     } else if (verb == "burst" && t.size() >= 5 && t[3] == "switches") {
-      Action a;
       a.kind = Action::Kind::kBurstSwitches;
-      a.at = at;
       a.until = -1;  // never restart by default
       if (t.size() == 7 && t[5] == "until") {
-        if (!ParseTimeLiteral(t[6], &a.until)) {
+        if (!ParseTick(t[6], &a.until)) {
           return fail("bad time literal '" + t[6] + "'");
         }
       } else if (t.size() != 5) {
         return fail(
             "expected: at <time> burst switches <count> [until <time>]");
       }
-      try {
-        a.count = std::stoi(t[4]);
-      } catch (...) {
-        return fail("bad burst count '" + t[4] + "'");
+      if (!ParseBurstCount(t[4], &a.count)) {
+        return fail("bad burst count '" + t[4] + "' (>= 1)");
       }
-      if (a.count < 1) {
-        return fail("burst count must be >= 1");
-      }
-      s.actions.push_back(a);
     } else {
       return fail("unrecognized action '" + verb + "'");
     }
+    s.actions.push_back(a);
   }
   if (error != nullptr) {
     error->clear();

@@ -58,6 +58,8 @@ struct Action {
   Tick period = 0;    // flap half-period
   Tick until = 0;     // flap end / burst restore time
   int count = 1;      // burst width
+
+  bool operator==(const Action&) const = default;
 };
 
 struct Scenario {
@@ -101,6 +103,8 @@ struct Scenario {
 
   // Round-trips through ParseScenarios.
   std::string ToText() const;
+
+  bool operator==(const Scenario&) const = default;
 };
 
 // Parses a scenario corpus.  Grammar (one statement per line, '#' comments):
@@ -120,14 +124,12 @@ struct Scenario {
 //     at <time> burst cables <count> until <time>
 //     at <time> burst switches <count> [until <time>]
 //
-// <time> is a number with unit suffix ns/us/ms/s (e.g. 250ms, 1.5s) and
-// <target> is an index, `random`, or a named pick `?a`.  Returns the parsed
-// scenarios, or an empty vector with *error set to "line N: why".
+// <time> is a number with unit suffix ns/us/ms/s (e.g. 250ms, 1.5s), <p> a
+// finite number in [0, 1], and <target> an index, `random`, or a named pick
+// `?a`.  Returns the parsed scenarios, or an empty vector with *error set to
+// "line N: why".
 std::vector<Scenario> ParseScenarios(const std::string& text,
                                      std::string* error);
-
-// Formats a Tick as the shortest exact time literal ("250ms", "1.5s").
-std::string FormatTime(Tick t);
 
 }  // namespace chaos
 }  // namespace autonet

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <map>
 #include <thread>
 
+#include "src/common/text.h"
 #include "src/obs/json.h"
 #include "src/obs/postmortem.h"
 
@@ -14,32 +14,6 @@ namespace autonet {
 namespace check {
 
 namespace {
-
-std::uint64_t Fnv1a(std::uint64_t h, const void* data, std::size_t size) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::uint64_t HashMergedLog(const Network& net) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const LogEntry& e : net.MergedLog()) {
-    h = Fnv1a(h, &e.time, sizeof e.time);
-    h = Fnv1a(h, e.node.data(), e.node.size());
-    h = Fnv1a(h, e.message.data(), e.message.size());
-  }
-  return h;
-}
-
-std::string HexU64(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 double WallMsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
@@ -196,21 +170,6 @@ TopoSpec CheckTopologyByName(const std::string& name, std::string* error) {
   }
   if (name == "line3") {
     return MakeLine(3, 1);
-  }
-  if (name == "small3") {
-    // A triangle: the smallest topology where a cut leaves redundancy, so
-    // position races have real alternatives to disagree about.
-    TopoSpec spec;
-    spec.AddSwitch("s0");
-    spec.AddSwitch("s1");
-    spec.AddSwitch("s2");
-    spec.Cable(0, 1);
-    spec.Cable(1, 2);
-    spec.Cable(0, 2);
-    spec.AddHost(0);
-    spec.AddHost(1);
-    spec.AddHost(2);
-    return spec;
   }
   if (name == "ring4") {
     return MakeRing(4, 1);
@@ -420,7 +379,7 @@ ScheduleResult RunSchedule(const ExploreConfig& config, const ScheduleId& id) {
   result.decision_points = rec.count;
   result.dropped_decisions = rec.dropped;
   result.branch_factors = std::move(rec.branch);
-  result.log_hash = HashMergedLog(net);
+  result.log_hash = HashLog(net.MergedLog());
   if (config.capture_postmortem || !result.violations.empty()) {
     obs::PostMortem pm = obs::PostMortem::Build(net.sim().flight());
     std::string timeline = pm.RenderText();

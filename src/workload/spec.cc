@@ -1,9 +1,8 @@
 #include "src/workload/spec.h"
 
-#include <cctype>
-#include <cmath>
-#include <cstdio>
 #include <sstream>
+
+#include "src/common/text.h"
 
 namespace autonet {
 namespace workload {
@@ -22,79 +21,6 @@ const char* KindName(Kind kind) {
   return "none";
 }
 
-namespace {
-
-// Same literal forms as the chaos scenario grammar ("250ms", "1.5s"), kept
-// local because chaos depends on workload, not the other way around.
-std::string TimeText(Tick t) {
-  auto exact = [&](Tick unit) { return t % unit == 0; };
-  char buf[32];
-  if (t != 0 && exact(kSecond)) {
-    std::snprintf(buf, sizeof buf, "%llds", static_cast<long long>(t / kSecond));
-  } else if (t != 0 && exact(kMillisecond)) {
-    std::snprintf(buf, sizeof buf, "%lldms",
-                  static_cast<long long>(t / kMillisecond));
-  } else if (t != 0 && exact(kMicrosecond)) {
-    std::snprintf(buf, sizeof buf, "%lldus",
-                  static_cast<long long>(t / kMicrosecond));
-  } else {
-    std::snprintf(buf, sizeof buf, "%lldns", static_cast<long long>(t));
-  }
-  return buf;
-}
-
-bool ParseTime(const std::string& tok, Tick* out) {
-  std::size_t i = 0;
-  while (i < tok.size() &&
-         (std::isdigit(static_cast<unsigned char>(tok[i])) || tok[i] == '.')) {
-    ++i;
-  }
-  if (i == 0 || i == tok.size()) {
-    return false;
-  }
-  double value;
-  try {
-    std::size_t consumed;
-    value = std::stod(tok.substr(0, i), &consumed);
-    if (consumed != i) {
-      return false;
-    }
-  } catch (...) {
-    return false;
-  }
-  std::string unit = tok.substr(i);
-  double scale;
-  if (unit == "ns") {
-    scale = 1.0;
-  } else if (unit == "us") {
-    scale = kMicrosecond;
-  } else if (unit == "ms") {
-    scale = kMillisecond;
-  } else if (unit == "s") {
-    scale = kSecond;
-  } else {
-    return false;
-  }
-  *out = static_cast<Tick>(std::llround(value * scale));
-  return true;
-}
-
-bool ParseCount(const std::string& tok, long long* out) {
-  try {
-    std::size_t consumed;
-    long long v = std::stoll(tok, &consumed);
-    if (consumed != tok.size() || v <= 0) {
-      return false;
-    }
-    *out = v;
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
-}  // namespace
-
 std::string Spec::ToText() const {
   std::ostringstream out;
   out << KindName(kind);
@@ -105,14 +31,14 @@ std::string Spec::ToText() const {
   switch (kind) {
     case Kind::kRpc:
       out << " response " << response_bytes << " window " << window
-          << " timeout " << TimeText(timeout);
+          << " timeout " << FormatTick(timeout);
       break;
     case Kind::kAllreduce:
-      out << " timeout " << TimeText(timeout);
+      out << " timeout " << FormatTick(timeout);
       break;
     case Kind::kStreams:
-      out << " period " << TimeText(period) << " deadline "
-          << TimeText(deadline);
+      out << " period " << FormatTick(period) << " deadline "
+          << FormatTick(deadline);
       break;
     case Kind::kNone:
       break;
@@ -133,58 +59,50 @@ bool ParseSpec(const std::vector<std::string>& tokens, std::size_t start,
   }
   Spec spec;
   const std::string& kind = tokens[start];
-  if (kind == "rpc") {
-    spec.kind = Kind::kRpc;
-  } else if (kind == "allreduce") {
-    spec.kind = Kind::kAllreduce;
-  } else if (kind == "streams") {
-    spec.kind = Kind::kStreams;
-  } else if (kind == "none") {
-    spec.kind = Kind::kNone;
-  } else {
-    return fail("unknown workload kind '" + kind + "'");
+  // Look the name up by walking the enum, kNone through kStreams.
+  while (kind != KindName(spec.kind)) {
+    if (spec.kind == Kind::kStreams) {
+      return fail("unknown workload kind '" + kind + "'");
+    }
+    spec.kind = static_cast<Kind>(static_cast<int>(spec.kind) + 1);
   }
-  for (std::size_t i = start + 1; i < tokens.size(); i += 2) {
-    if (i + 1 >= tokens.size()) {
-      return fail("workload key '" + tokens[i] + "' is missing a value");
-    }
-    const std::string& key = tokens[i];
-    const std::string& value = tokens[i + 1];
-    long long count = 0;
-    Tick t = 0;
-    if (key == "bytes") {
-      if (!ParseCount(value, &count)) {
-        return fail("bad bytes '" + value + "'");
-      }
-      spec.data_bytes = static_cast<std::size_t>(count);
-    } else if (key == "response") {
-      if (!ParseCount(value, &count)) {
-        return fail("bad response '" + value + "'");
-      }
-      spec.response_bytes = static_cast<std::size_t>(count);
-    } else if (key == "window") {
-      if (!ParseCount(value, &count) || count > 64) {
-        return fail("bad window '" + value + "' (1..64)");
-      }
-      spec.window = static_cast<int>(count);
-    } else if (key == "period") {
-      if (!ParseTime(value, &t) || t <= 0) {
-        return fail("bad period '" + value + "'");
-      }
-      spec.period = t;
-    } else if (key == "deadline") {
-      if (!ParseTime(value, &t) || t <= 0) {
-        return fail("bad deadline '" + value + "'");
-      }
-      spec.deadline = t;
-    } else if (key == "timeout") {
-      if (!ParseTime(value, &t) || t <= 0) {
-        return fail("bad timeout '" + value + "'");
-      }
-      spec.timeout = t;
-    } else {
-      return fail("unknown workload key '" + key + "'");
-    }
+  // Every count and time is at least 1.
+  std::string why = ReadKeyValues(
+      tokens, start + 1,
+      [&](const std::string& key, const std::string& value) -> std::string {
+        if (key == "bytes") {
+          if (!ParseInt(value, &spec.data_bytes) || spec.data_bytes < 1) {
+            return "bad bytes '" + value + "'";
+          }
+        } else if (key == "response") {
+          if (!ParseInt(value, &spec.response_bytes) ||
+              spec.response_bytes < 1) {
+            return "bad response '" + value + "'";
+          }
+        } else if (key == "window") {
+          if (!ParseInt(value, &spec.window) || spec.window < 1 ||
+              spec.window > 64) {
+            return "bad window '" + value + "' (1..64)";
+          }
+        } else if (key == "period") {
+          if (!ParseTick(value, &spec.period) || spec.period <= 0) {
+            return "bad period '" + value + "'";
+          }
+        } else if (key == "deadline") {
+          if (!ParseTick(value, &spec.deadline) || spec.deadline <= 0) {
+            return "bad deadline '" + value + "'";
+          }
+        } else if (key == "timeout") {
+          if (!ParseTick(value, &spec.timeout) || spec.timeout <= 0) {
+            return "bad timeout '" + value + "'";
+          }
+        } else {
+          return "unknown workload key '" + key + "'";
+        }
+        return "";
+      });
+  if (!why.empty()) {
+    return fail(why);
   }
   if (error != nullptr) {
     error->clear();
@@ -194,22 +112,7 @@ bool ParseSpec(const std::vector<std::string>& tokens, std::size_t start,
 }
 
 bool ParseSpecText(const std::string& text, Spec* out, std::string* error) {
-  std::vector<std::string> tokens;
-  std::string cur;
-  for (char c : text) {
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      if (!cur.empty()) {
-        tokens.push_back(std::move(cur));
-        cur.clear();
-      }
-    } else {
-      cur.push_back(c);
-    }
-  }
-  if (!cur.empty()) {
-    tokens.push_back(std::move(cur));
-  }
-  return ParseSpec(tokens, 0, out, error);
+  return ParseSpec(Tokenize(text), 0, out, error);
 }
 
 }  // namespace workload

@@ -40,15 +40,18 @@ struct Spec {
   // The text form, omitting knobs the kind does not use.  Round-trips
   // through ParseSpecText.
   std::string ToText() const;
+
+  bool operator==(const Spec&) const = default;
 };
 
 // Parses `tokens[start..]` as `<kind> [key value]...` where keys are
-// bytes/response/window/period/deadline/timeout and times take unit
-// suffixes (ns/us/ms/s).  Returns false with *error set on a bad token.
+// bytes/response/window/period/deadline/timeout, each at most once, and times
+// take unit suffixes (ns/us/ms/s).  Returns false with *error set on a bad
+// token.
 bool ParseSpec(const std::vector<std::string>& tokens, std::size_t start,
                Spec* out, std::string* error);
 
-// Convenience: tokenizes `text` (whitespace-separated) and calls ParseSpec.
+// Convenience: tokenizes `text` (see Tokenize) and calls ParseSpec.
 bool ParseSpecText(const std::string& text, Spec* out, std::string* error);
 
 }  // namespace workload

@@ -72,6 +72,22 @@ TEST(AdversarySpec, RejectsBadInput) {
   EXPECT_FALSE(ParseSpecText("storm moves nope", &spec, &error));
   EXPECT_FALSE(ParseSpecText("storm duration 5parsecs", &spec, &error));
   EXPECT_FALSE(ParseSpecText("storm moves", &spec, &error));
+
+  // A key given twice is an error, not "last one wins".
+  EXPECT_FALSE(ParseSpecText("storm moves 5 moves 7", &spec, &error));
+  EXPECT_NE(error.find("moves"), std::string::npos) << error;
+  // Counts are at least 1 and read whole; times stay in the Tick range.
+  EXPECT_FALSE(ParseSpecText("storm moves 0", &spec, &error));
+  EXPECT_FALSE(ParseSpecText("storm burst 0", &spec, &error));
+  EXPECT_FALSE(ParseSpecText("storm burst 4x", &spec, &error));
+  EXPECT_FALSE(ParseSpecText("storm moves +3", &spec, &error));
+  EXPECT_FALSE(ParseSpecText("corrupt-epoch amount -1", &spec, &error));
+  EXPECT_FALSE(ParseSpecText("storm duration 10000000000s", &spec, &error));
+
+  // amount 0 is legal: it selects the runaway epoch jump.
+  ASSERT_TRUE(ParseSpecText("corrupt-epoch amount 0", &spec, &error))
+      << error;
+  EXPECT_EQ(spec.amount, 0u);
 }
 
 TEST(AdversarySpec, DefaultIsDisabled) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,6 +16,7 @@
 #include "src/common/event_log.h"
 #include "src/core/network.h"
 #include "src/obs/json.h"
+#include "src/sim/random.h"
 #include "src/topo/spec.h"
 
 namespace autonet {
@@ -87,6 +91,44 @@ TEST(Scenario, ParseErrorsNameTheLine) {
   EXPECT_TRUE(
       ParseScenarios("scenario x\n  at 5ms melt cable 0\n", &error).empty());
   EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+
+  // Numbers are read whole: no NaN, no infinity, no trailing garbage, no
+  // time past the Tick range.
+  for (const char* bad : {
+           "at 5ms corrupt cable 0 rate nan",
+           "at 5ms corrupt cable 0 rate inf",
+           "at 5ms corrupt cable 0 rate 0.5abc",
+           "at 5ms corrupt cable 0 rate 1.5",
+           "at 5ms burst cables 3x until 1s",
+           "at 5ms burst switches 2x",
+           "at 5ms burst switches 0",
+           "at 5ms cut cable 3x",
+           "at 5ms cut cable +3",
+           "at 10000000000s cut cable 0",
+           "at 5ms burst cables 2 until 9223372036854775808ns",
+       }) {
+    EXPECT_TRUE(
+        ParseScenarios(std::string("scenario x\n  ") + bad + "\n", &error)
+            .empty())
+        << bad;
+    EXPECT_NE(error.find("line 2"), std::string::npos) << bad << ": " << error;
+  }
+}
+
+TEST(Scenario, RateAndTickPrintInShortestExactForm) {
+  std::string error;
+  std::vector<Scenario> s = ParseScenarios(
+      "scenario x\n"
+      "  at 9223372036854775807ns corrupt cable 0 rate 0.123456789\n"
+      "  at 1.5s corrupt cable 1 rate 0.005\n",
+      &error);
+  ASSERT_EQ(error, "");
+  ASSERT_EQ(s.size(), 1u);
+  EXPECT_EQ(s[0].actions[0].at, std::numeric_limits<Tick>::max());
+  EXPECT_EQ(s[0].ToText(),
+            "scenario x\n"
+            "  at 9223372036854775807ns corrupt cable 0 rate 0.123456789\n"
+            "  at 1500ms corrupt cable 1 rate 0.005\n");
 }
 
 // --- deterministic resolution ----------------------------------------------
@@ -313,6 +355,225 @@ TEST(Runner, TopologyRegistryKnowsTheMatrix) {
   std::string error;
   TopologyByName("no-such-topology", &error);
   EXPECT_NE(error, "");
+}
+
+// --- text round trip: every grammar, seeded random values ------------------
+
+// Draws random values of every text grammar: each field a kind or strategy
+// uses is random, every other field keeps its default (ToText omits it).
+class TextGen {
+ public:
+  explicit TextGen(std::uint64_t seed) : rng_(seed) {}
+
+  // A time on a ns/us/ms/s boundary: small, or anywhere up to the Tick range.
+  Tick Time(Tick min = 0) {
+    static constexpr Tick kUnits[] = {1, kMicrosecond, kMillisecond, kSecond};
+    Tick unit = kUnits[Int(0, 3)];
+    Tick max = std::numeric_limits<Tick>::max() / unit;
+    Tick t = unit * (Bit() ? Int(0, 2000) : Int(0, max));
+    if (Int(0, 20) == 0) {
+      t = std::numeric_limits<Tick>::max();
+    }
+    return std::max(t, min);
+  }
+
+  adversary::Spec Adversary() {
+    adversary::Spec spec;
+    spec.strategy = static_cast<adversary::Strategy>(
+        Int(0, static_cast<int>(adversary::Strategy::kCorruptEpoch)));
+    if (!spec.enabled()) {
+      return spec;
+    }
+    spec.moves = static_cast<int>(Int(1, 1000));
+    spec.duration = Time(1);
+    spec.period = Bit() ? 0 : Time(1);
+    if (spec.strategy == adversary::Strategy::kPhaseSnipe) {
+      static const char* kPhases[] = {"monitor", "tree", "fanin", "compute",
+                                      "install"};
+      spec.phase = kPhases[Int(0, 4)];
+    } else if (spec.strategy == adversary::Strategy::kStorm) {
+      spec.burst = static_cast<int>(Int(1, 64));
+    } else if (spec.strategy == adversary::Strategy::kCorruptEpoch) {
+      spec.amount = Bit() ? static_cast<std::uint64_t>(Int(0, 5))
+                          : rng_.NextU64();
+    }
+    return spec;
+  }
+
+  workload::Spec Workload() {
+    workload::Spec spec;
+    spec.kind = static_cast<workload::Kind>(
+        Int(0, static_cast<int>(workload::Kind::kStreams)));
+    if (!spec.enabled()) {
+      return spec;
+    }
+    spec.data_bytes = static_cast<std::size_t>(Int(1, 1 << 20));
+    switch (spec.kind) {
+      case workload::Kind::kRpc:
+        spec.response_bytes = static_cast<std::size_t>(Int(1, 1 << 20));
+        spec.window = static_cast<int>(Int(1, 64));
+        spec.timeout = Time(1);
+        break;
+      case workload::Kind::kAllreduce:
+        spec.timeout = Time(1);
+        break;
+      case workload::Kind::kStreams:
+        spec.period = Time(1);
+        spec.deadline = Time(1);
+        break;
+      case workload::Kind::kNone:
+        break;
+    }
+    return spec;
+  }
+
+  Scenario MakeScenario() {
+    Scenario s;
+    s.name = "gen-" + std::to_string(Int(0, 999));
+    s.workload = Workload();
+    s.adversary = Adversary();
+    for (int i = Int(0, 12); i > 0; --i) {
+      s.actions.push_back(MakeAction());
+    }
+    return s;
+  }
+
+  Action MakeAction() {
+    Action a;
+    a.kind = static_cast<Action::Kind>(
+        Int(0, static_cast<int>(Action::Kind::kBurstSwitches)));
+    a.at = Time();
+    switch (a.kind) {
+      case Action::Kind::kBurstCables:
+        a.count = static_cast<int>(Int(1, 100));
+        a.until = Time();
+        return a;
+      case Action::Kind::kBurstSwitches:
+        a.count = static_cast<int>(Int(1, 100));
+        a.until = Bit() ? -1 : Time(a.at);  // -1: never restart
+        return a;
+      case Action::Kind::kCutHostLink:
+      case Action::Kind::kRestoreHostLink:
+      case Action::Kind::kReflectCable:
+        a.which = static_cast<int>(Int(0, 1));
+        break;
+      case Action::Kind::kCorruptCable:
+        a.rate = Rate();
+        break;
+      case Action::Kind::kFlapCable:
+        a.period = Time(1);
+        a.until = Time();
+        break;
+      default:
+        break;
+    }
+    switch (Int(0, 2)) {
+      case 0:
+        break;  // random
+      case 1:
+        a.pick = "v" + std::to_string(Int(0, 9));
+        break;
+      default:
+        a.target = static_cast<int>(Int(0, std::numeric_limits<int>::max()));
+        break;
+    }
+    return a;
+  }
+
+  double Rate() {
+    static constexpr double kEdges[] = {0.0, 1.0, 0.005, 1e-9, 0.1};
+    return Bit() ? kEdges[Int(0, 4)] : rng_.UniformDouble();
+  }
+
+  // A token that is never a comment, so appending it must break any line.
+  std::string Stray() {
+    static const char* kStray[] = {"x", "0", "1ms", "until", "rate", "moves",
+                                   "?a", "random", "0.5"};
+    return kStray[Int(0, 8)];
+  }
+
+ private:
+  std::int64_t Int(std::int64_t lo, std::int64_t hi) {
+    return rng_.UniformInt(lo, hi);
+  }
+  bool Bit() { return Int(0, 1) == 1; }
+
+  Rng rng_;
+};
+
+constexpr int kRoundTripCases = 400;
+
+TEST(TextRoundTrip, AdversarySpecs) {
+  TextGen gen(11);
+  std::set<adversary::Strategy> seen;
+  for (int i = 0; i < kRoundTripCases; ++i) {
+    adversary::Spec spec = gen.Adversary();
+    seen.insert(spec.strategy);
+    std::string text = spec.ToText();
+    adversary::Spec again;
+    std::string error;
+    ASSERT_TRUE(adversary::ParseSpecText(text, &again, &error))
+        << text << ": " << error;
+    EXPECT_EQ(again, spec) << text;
+    EXPECT_EQ(again.ToText(), text);
+    std::string stray = text + " " + gen.Stray();
+    EXPECT_FALSE(adversary::ParseSpecText(stray, &again, &error)) << stray;
+  }
+  EXPECT_EQ(seen.size(), 9u);
+}
+
+TEST(TextRoundTrip, WorkloadSpecs) {
+  TextGen gen(12);
+  std::set<workload::Kind> seen;
+  for (int i = 0; i < kRoundTripCases; ++i) {
+    workload::Spec spec = gen.Workload();
+    seen.insert(spec.kind);
+    std::string text = spec.ToText();
+    workload::Spec again;
+    std::string error;
+    ASSERT_TRUE(workload::ParseSpecText(text, &again, &error))
+        << text << ": " << error;
+    EXPECT_EQ(again, spec) << text;
+    EXPECT_EQ(again.ToText(), text);
+    std::string stray = text + " " + gen.Stray();
+    EXPECT_FALSE(workload::ParseSpecText(stray, &again, &error)) << stray;
+  }
+  EXPECT_EQ(seen.size(), 4u);
+}
+
+TEST(TextRoundTrip, Scenarios) {
+  TextGen gen(13);
+  std::set<Action::Kind> seen;
+  for (int i = 0; i < kRoundTripCases; ++i) {
+    Scenario s = gen.MakeScenario();
+    for (const Action& a : s.actions) {
+      seen.insert(a.kind);
+    }
+    std::string text = s.ToText();
+    std::string error;
+    std::vector<Scenario> again = ParseScenarios(text, &error);
+    ASSERT_EQ(again.size(), 1u) << text << error;
+    EXPECT_EQ(again[0], s) << text;
+    EXPECT_EQ(again[0].ToText(), text);
+
+    // One stray token on any line makes the whole text fail, at that line.
+    std::vector<std::string> lines;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) {
+      lines.push_back(line);
+    }
+    for (std::size_t n = 0; n < lines.size(); ++n) {
+      std::string broken;
+      for (std::size_t k = 0; k < lines.size(); ++k) {
+        broken += lines[k] + (k == n ? " " + gen.Stray() : "") + "\n";
+      }
+      EXPECT_TRUE(ParseScenarios(broken, &error).empty()) << broken;
+      EXPECT_NE(error.find("line " + std::to_string(n + 1)),
+                std::string::npos)
+          << broken << error;
+    }
+  }
+  EXPECT_EQ(seen.size(), 11u);
 }
 
 TEST(Oracles, HealthyDiameterScalesDeadlines) {

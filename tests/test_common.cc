@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -10,6 +13,7 @@
 #include "src/common/packet.h"
 #include "src/common/port_vector.h"
 #include "src/common/serialize.h"
+#include "src/common/text.h"
 
 namespace autonet {
 namespace {
@@ -353,6 +357,120 @@ TEST(Histogram, P999WithFewerSamplesThanATail) {
 TEST(Time, PropagationDelayMatchesPaperFormula) {
   // W = 64.1 slots/km: a 2 km link is 128.2 slots one way (section 6.2).
   EXPECT_EQ(PropagationDelayNs(2.0), static_cast<Tick>(128.2 * 80));
+}
+
+// --- text and hash toolkit ---
+
+TEST(Text, Fnv1aMatchesTheReferenceVectors) {
+  EXPECT_EQ(HexU64(Fnv1a(kFnvOffset, "")), "cbf29ce484222325");
+  EXPECT_EQ(HexU64(Fnv1a(kFnvOffset, "a")), "af63dc4c8601ec8c");
+  EXPECT_EQ(HexU64(Fnv1a(kFnvOffset, "foobar")), "85944171f73967e8");
+  EXPECT_EQ(HexU64(0), "0000000000000000");
+  // Folding is incremental: two calls equal one over the concatenation.
+  EXPECT_EQ(Fnv1a(Fnv1a(kFingerprintBasis, "fo"), "obar"),
+            Fnv1a(kFingerprintBasis, "foobar"));
+}
+
+TEST(Text, HashLogFoldsTimeNodeAndMessage) {
+  EXPECT_EQ(HashLog({}), kFingerprintBasis);
+  LogEntry e;
+  e.time = 0x0102030405060708;
+  e.node = "sw1";
+  e.message = "epoch 3";
+  std::uint64_t h = kFingerprintBasis;
+  for (int i = 0; i < 8; ++i) {  // the time's bytes, little-endian
+    h = Fnv1a(h, std::string(1, static_cast<char>(8 - i)));
+  }
+  EXPECT_EQ(HashLog({e}), Fnv1a(Fnv1a(h, "sw1"), "epoch 3"));
+  LogEntry moved = e;
+  moved.node = "sw2";
+  EXPECT_NE(HashLog({e}), HashLog({moved}));
+}
+
+TEST(Text, TokenizerSplitsOnWhitespaceAndDropsComments) {
+  EXPECT_EQ(Tokenize("  at 1s\tcut  cable ?a # restored later"),
+            (std::vector<std::string>{"at", "1s", "cut", "cable", "?a"}));
+  EXPECT_EQ(Tokenize("rate 0.5#no space needed"),
+            (std::vector<std::string>{"rate", "0.5"}));
+  EXPECT_TRUE(Tokenize("# only a comment").empty());
+  EXPECT_TRUE(Tokenize(" \t ").empty());
+}
+
+TEST(Text, TickLiteralsAreExactAndStayInRange) {
+  EXPECT_EQ(FormatTick(0), "0ns");
+  EXPECT_EQ(FormatTick(3 * kSecond), "3s");
+  EXPECT_EQ(FormatTick(1500 * kMillisecond), "1500ms");
+  EXPECT_EQ(FormatTick(40 * kMicrosecond), "40us");
+  EXPECT_EQ(FormatTick(7), "7ns");
+  const Tick kMax = std::numeric_limits<Tick>::max();
+  EXPECT_EQ(FormatTick(kMax), "9223372036854775807ns");
+
+  Tick t = 0;
+  ASSERT_TRUE(ParseTick("1.5s", &t));
+  EXPECT_EQ(t, 1500 * kMillisecond);
+  ASSERT_TRUE(ParseTick("250ms", &t));
+  EXPECT_EQ(t, 250 * kMillisecond);
+  ASSERT_TRUE(ParseTick("9223372036854775807ns", &t));
+  EXPECT_EQ(t, kMax);
+  ASSERT_TRUE(ParseTick("9223372036s", &t));
+  EXPECT_EQ(t, 9223372036 * kSecond);
+
+  // Past the Tick range, in either the integer or the fractional form.
+  for (const char* bad : {"9223372036854775808ns", "9223372037s",
+                          "10000000000s", "9223372036.9s", "1e3ms", "-5ms",
+                          "5", "ms", ".s", "1.2.3s", "5parsecs", "5 ms", ""}) {
+    EXPECT_FALSE(ParseTick(bad, &t)) << bad;
+  }
+}
+
+TEST(Text, NumberReadsConsumeTheWholeToken) {
+  int i = 0;
+  EXPECT_TRUE(ParseInt("42", &i));
+  EXPECT_EQ(i, 42);
+  EXPECT_TRUE(ParseInt("-7", &i));
+  EXPECT_EQ(i, -7);
+  for (const char* bad : {"", "3x", "+1", " 1", "1e3", "0x10", "99999999999"}) {
+    EXPECT_FALSE(ParseInt(bad, &i)) << bad;
+  }
+  std::uint64_t u = 0;
+  EXPECT_TRUE(ParseInt("18446744073709551615", &u));
+  EXPECT_EQ(u, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_FALSE(ParseInt("-1", &u));
+
+  double d = 0;
+  EXPECT_TRUE(ParseDouble("0.005", &d));
+  EXPECT_EQ(d, 0.005);
+  EXPECT_TRUE(ParseDouble("1e-3", &d));
+  for (const char* bad : {"", "nan", "inf", "-inf", "0.5abc", "1e400", "0x1p3",
+                          " 1"}) {
+    EXPECT_FALSE(ParseDouble(bad, &d)) << bad;
+  }
+  // Shortest exact form: what prints reads back bit for bit.
+  EXPECT_EQ(FormatDouble(0.123456789), "0.123456789");
+  EXPECT_EQ(FormatDouble(0.005), "0.005");
+  EXPECT_EQ(FormatDouble(0), "0");
+  EXPECT_EQ(FormatDouble(1), "1");
+  for (double v : {0.1, 1.0 / 3, 2.5e-9, 0.9999999999999999}) {
+    ASSERT_TRUE(ParseDouble(FormatDouble(v), &d));
+    EXPECT_EQ(d, v);
+  }
+}
+
+TEST(Text, KeyValueWalkRejectsMissingValuesAndRepeatedKeys) {
+  std::vector<std::pair<std::string, std::string>> seen;
+  auto visit = [&](const std::string& key, const std::string& value) {
+    seen.emplace_back(key, value);
+    return key == "bad" ? std::string("bad key") : std::string();
+  };
+  EXPECT_EQ(ReadKeyValues({"rpc", "a", "1", "b", "2"}, 1, visit), "");
+  EXPECT_EQ(seen.size(), 2u);
+  EXPECT_EQ(ReadKeyValues({"a", "1", "b"}, 0, visit),
+            "key 'b' is missing a value");
+  EXPECT_EQ(ReadKeyValues({"a", "1", "a", "2"}, 0, visit),
+            "key 'a' is given twice");
+  EXPECT_EQ(ReadKeyValues({"bad", "1", "a"}, 0, visit), "bad key");
+  // A value may equal a key name; only keys are checked for repeats.
+  EXPECT_EQ(ReadKeyValues({"a", "b", "b", "a"}, 0, visit), "");
 }
 
 }  // namespace

@@ -60,24 +60,6 @@ TEST(TopoSpec, ExpectedTopologyMatchesCables) {
   }
 }
 
-TEST(TopoSpec, TextRoundTrip) {
-  TopoSpec spec = MakeTorus(2, 3, 1);
-  std::string text = spec.ToText();
-  std::string error;
-  TopoSpec parsed = TopoSpec::FromText(text, &error);
-  EXPECT_EQ(error, "");
-  ASSERT_EQ(parsed.switches.size(), spec.switches.size());
-  ASSERT_EQ(parsed.cables.size(), spec.cables.size());
-  ASSERT_EQ(parsed.hosts.size(), spec.hosts.size());
-  EXPECT_EQ(parsed.ExpectedTopology(), spec.ExpectedTopology());
-}
-
-TEST(TopoSpec, ParserRejectsGarbage) {
-  std::string error;
-  TopoSpec::FromText("switches 2\nfrobnicate 1 2\n", &error);
-  EXPECT_NE(error, "");
-}
-
 TEST(Generators, LineHasNMinusOneCables) {
   TopoSpec spec = MakeLine(7, 0);
   EXPECT_EQ(spec.cables.size(), 6u);

@@ -56,6 +56,16 @@ TEST(Spec, ParseRejectsBadInput) {
   EXPECT_FALSE(ParseSpecText("streams period 0ms", &spec, &error));
   EXPECT_FALSE(ParseSpecText("", &spec, &error));
 
+  // A key given twice is an error, not "last one wins".
+  EXPECT_FALSE(ParseSpecText("rpc window 2 window 3", &spec, &error));
+  EXPECT_NE(error.find("window"), std::string::npos) << error;
+  // Counts are at least 1 and read whole; times stay in the Tick range.
+  EXPECT_FALSE(ParseSpecText("rpc bytes 0", &spec, &error));
+  EXPECT_FALSE(ParseSpecText("rpc response 0", &spec, &error));
+  EXPECT_FALSE(ParseSpecText("rpc bytes 5x", &spec, &error));
+  EXPECT_FALSE(ParseSpecText("rpc bytes -5", &spec, &error));
+  EXPECT_FALSE(ParseSpecText("rpc timeout 10000000000s", &spec, &error));
+
   ASSERT_TRUE(ParseSpecText("none", &spec, &error)) << error;
   EXPECT_FALSE(spec.enabled());
 }
