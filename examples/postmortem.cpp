@@ -57,16 +57,6 @@ int Usage(const char* argv0) {
   return 2;
 }
 
-bool WriteFile(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  bool ok = std::fwrite(content.data(), 1, content.size(), f) ==
-            content.size();
-  return std::fclose(f) == 0 && ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -259,7 +249,7 @@ int main(int argc, char** argv) {
   obs::PostMortem pm = obs::PostMortem::Build(net.sim().flight());
   std::fputs(pm.RenderText(with_events).c_str(), stdout);
   if (!trace_file.empty()) {
-    if (!WriteFile(trace_file, pm.ToChromeTraceJson())) {
+    if (!WriteTextFile(trace_file, pm.ToChromeTraceJson())) {
       std::fprintf(stderr, "cannot write %s\n", trace_file.c_str());
       return 2;
     }

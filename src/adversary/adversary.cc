@@ -147,7 +147,7 @@ void Engine::StepPhaseSnipe() {
     return;
   }
   std::vector<int> victims;
-  if (spec_.phase == "monitor") {
+  if (spec_.phase == obs::ReconfigPhase::kMonitor) {
     // The monitor snipe targets the converged steady state.
     if (StableNow()) {
       victims = AliveSwitches();
@@ -170,7 +170,8 @@ void Engine::StepPhaseSnipe() {
   int cable = cands[rng_.UniformInt(0, static_cast<int>(cands.size()) - 1)];
   CutNow(cable);
   MarkFlight(sw, "phase-snipe");
-  Note("cut cable %d during %s at %s (epoch %llu)", cable, spec_.phase.c_str(),
+  Note("cut cable %d during %s at %s (epoch %llu)", cable,
+       obs::PhaseName(spec_.phase),
        net_->switch_at(sw).name().c_str(),
        static_cast<unsigned long long>(net_->autopilot_at(sw).epoch()));
   ++moves_;
@@ -448,29 +449,17 @@ int Engine::FindRootSwitch() const {
   return -1;
 }
 
-const char* Engine::PhaseOf(int sw) const {
+obs::ReconfigPhase Engine::PhaseOf(int sw) const {
   if (!net_->autopilot_at(sw).reconfig_in_progress()) {
-    return "monitor";
+    return obs::ReconfigPhase::kMonitor;
   }
   const obs::FlightRing* ring =
       net_->sim().flight().Find(net_->switch_at(sw).name());
   const obs::FlightEvent* last = ring != nullptr ? ring->Last() : nullptr;
   if (last == nullptr) {
-    return "tree";
+    return obs::ReconfigPhase::kTree;
   }
-  switch (last->kind) {
-    case obs::FlightEventKind::kReportSend:
-    case obs::FlightEventKind::kReportRecv:
-      return "fanin";
-    case obs::FlightEventKind::kTermination:
-    case obs::FlightEventKind::kConfigRecv:
-    case obs::FlightEventKind::kConfigCompute:
-      return "compute";
-    case obs::FlightEventKind::kRouteInstall:
-      return "install";
-    default:
-      return "tree";
-  }
+  return obs::PhaseAfter(last->kind).value_or(obs::ReconfigPhase::kTree);
 }
 
 std::vector<int> Engine::AliveSwitches() const {

@@ -90,9 +90,10 @@ class Engine {
   bool StableNow() const;
   // Index of the switch that believes itself root (-1 if none/dead).
   int FindRootSwitch() const;
-  // The reconfiguration phase `sw` is in, from its flight ring's newest
-  // event ("monitor" when no reconfiguration is in progress).
-  const char* PhaseOf(int sw) const;
+  // The reconfiguration phase `sw` is in: monitor when no reconfiguration
+  // is in progress, else obs::PhaseAfter of its flight ring's newest event
+  // (tree for an event that names no phase).
+  obs::ReconfigPhase PhaseOf(int sw) const;
   std::vector<int> AliveSwitches() const;
   // Spec cable indices adjacent to `sw`, uncut, with both endpoints alive.
   std::vector<int> CandidateCablesAt(int sw) const;

@@ -1,5 +1,6 @@
 #include "src/adversary/spec.h"
 
+#include <map>
 #include <sstream>
 
 #include "src/common/text.h"
@@ -31,15 +32,6 @@ const char* StrategyName(Strategy strategy) {
   return "none";
 }
 
-namespace {
-
-bool ValidPhase(const std::string& phase) {
-  return phase == "monitor" || phase == "tree" || phase == "fanin" ||
-         phase == "compute" || phase == "install";
-}
-
-}  // namespace
-
 Tick Spec::effective_period() const {
   if (period > 0) {
     return period;
@@ -66,7 +58,7 @@ std::string Spec::ToText() const {
   }
   switch (strategy) {
     case Strategy::kPhaseSnipe:
-      out << " phase " << phase;
+      out << " phase " << obs::PhaseName(phase);
       break;
     case Strategy::kStorm:
       out << " burst " << burst;
@@ -103,11 +95,24 @@ bool ParseSpec(const std::vector<std::string>& tokens, std::size_t start,
     }
     spec.strategy = static_cast<Strategy>(static_cast<int>(spec.strategy) + 1);
   }
+  // The one strategy that uses each strategy-specific knob.
+  static const std::map<std::string, Strategy> kOwner = {
+      {"phase", Strategy::kPhaseSnipe},
+      {"burst", Strategy::kStorm},
+      {"amount", Strategy::kCorruptEpoch}};
   // Every count but `amount` is at least 1: amount 0 selects the runaway
   // epoch jump.
   std::string why = ReadKeyValues(
       tokens, start + 1,
       [&](const std::string& key, const std::string& value) -> std::string {
+        if (spec.strategy == Strategy::kNone) {
+          return "adversary none takes no knobs, got '" + key + "'";
+        }
+        auto owner = kOwner.find(key);
+        if (owner != kOwner.end() && owner->second != spec.strategy) {
+          return "knob '" + key + "' is for " + StrategyName(owner->second) +
+                 " only, not " + StrategyName(spec.strategy);
+        }
         if (key == "moves") {
           if (!ParseInt(value, &spec.moves) || spec.moves < 1 ||
               spec.moves > 1000) {
@@ -122,11 +127,10 @@ bool ParseSpec(const std::vector<std::string>& tokens, std::size_t start,
             return "bad period '" + value + "'";
           }
         } else if (key == "phase") {
-          if (!ValidPhase(value)) {
+          if (!obs::ParsePhase(value, &spec.phase)) {
             return "bad phase '" + value +
                    "' (monitor|tree|fanin|compute|install)";
           }
-          spec.phase = value;
         } else if (key == "burst") {
           if (!ParseInt(value, &spec.burst) || spec.burst < 1 ||
               spec.burst > 64) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/common/time.h"
+#include "src/obs/flight.h"
 
 namespace autonet {
 namespace adversary {
@@ -34,8 +35,8 @@ struct Spec {
   int moves = 4;                 // attack moves before the adversary retires
   Tick duration = 4 * kSecond;   // attack window measured from arming
   Tick period = 0;               // state-poll cadence; 0 = strategy default
-  std::string phase = "compute"; // phase-snipe target:
-                                 //   monitor|tree|fanin|compute|install
+  // phase-snipe: the reconfiguration phase to cut a cable in.
+  obs::ReconfigPhase phase = obs::ReconfigPhase::kCompute;
   int burst = 4;                 // storm: Byzantine packets per move
   std::uint64_t amount = 3;      // corrupt-epoch: forward distance;
                                  //   0 = runaway beyond kMaxEpochJump
@@ -55,7 +56,10 @@ struct Spec {
 
 // Parses `tokens[start..]` as `<strategy> [key value]...` where keys are
 // moves/duration/period/phase/burst/amount, each at most once, and times take
-// unit suffixes (ns/us/ms/s).  Returns false with *error set on a bad token.
+// unit suffixes (ns/us/ms/s).  phase is for phase-snipe only, burst for storm
+// only and amount for corrupt-epoch only: ToText drops a knob the strategy
+// does not use, so such text is rejected.  Returns false with *error set on a
+// bad token.
 bool ParseSpec(const std::vector<std::string>& tokens, std::size_t start,
                Spec* out, std::string* error);
 

@@ -453,14 +453,7 @@ std::string CampaignReport::ToJson() const {
 }
 
 bool CampaignReport::WriteJson(const std::string& path) const {
-  std::string json = ToJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  ok = std::fclose(f) == 0 && ok;
-  return ok;
+  return WriteTextFile(path, ToJson());
 }
 
 }  // namespace chaos

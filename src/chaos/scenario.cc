@@ -1,6 +1,7 @@
 #include "src/chaos/scenario.h"
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 
 #include "src/common/text.h"
@@ -214,6 +215,8 @@ std::vector<Scenario> ParseScenarios(const std::string& text,
   std::istringstream in(text);
   std::string line;
   int line_no = 0;
+  // Statements a scenario carries at most once.
+  std::set<std::string> once;
   auto fail = [&](const std::string& why) {
     if (error != nullptr) {
       *error = "line " + std::to_string(line_no) + ": " + why;
@@ -232,12 +235,17 @@ std::vector<Scenario> ParseScenarios(const std::string& text,
         return fail("expected: scenario <name>");
       }
       scenarios.push_back(Scenario{t[1], {}, {}, {}});
+      once.clear();
       continue;
     }
     if (scenarios.empty()) {
       return fail("statement before any 'scenario' header");
     }
     Scenario& s = scenarios.back();
+    if ((t[0] == "workload" || t[0] == "adversary") &&
+        !once.insert(t[0]).second) {
+      return fail("second '" + t[0] + "' line in scenario " + s.name);
+    }
 
     if (t[0] == "workload") {
       std::string why;

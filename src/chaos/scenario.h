@@ -110,8 +110,8 @@ struct Scenario {
 // Parses a scenario corpus.  Grammar (one statement per line, '#' comments):
 //
 //   scenario <name>
-//     workload rpc|allreduce|streams [key value ...]
-//     adversary <strategy> [key value ...]     (see adversary::ParseSpec)
+//     workload rpc|allreduce|streams [key value ...]   (at most once)
+//     adversary <strategy> [key value ...]   (at most once; adversary::ParseSpec)
 //     at <time> cut cable <target>
 //     at <time> restore cable <target>
 //     at <time> crash switch <target>

@@ -150,4 +150,13 @@ std::string HexU64(std::uint64_t v) {
   return buf;
 }
 
+bool WriteTextFile(const std::string& path, std::string_view text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    return false;
+  }
+  bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  return std::fclose(f) == 0 && ok;
+}
+
 }  // namespace autonet

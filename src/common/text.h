@@ -1,6 +1,7 @@
 // The one text and hash toolkit shared by every grammar in the repo (chaos
 // scenarios, adversary and workload specs, the CLIs' numeric flags) and by
-// every fingerprint of the §6.7 merged log.  Every reader here consumes the
+// every fingerprint of the §6.7 merged log; WriteTextFile puts the JSON
+// reports and traces on disk.  Every reader here consumes the
 // whole token or fails: a value the writer could not have printed is an
 // error, never a silent truncation.
 #ifndef SRC_COMMON_TEXT_H_
@@ -70,6 +71,9 @@ inline constexpr std::uint64_t kFingerprintBasis = 1469598103934665603ull;
 std::uint64_t HashLog(const std::vector<LogEntry>& log);
 // 16 lowercase hex digits.
 std::string HexU64(std::uint64_t v);
+
+// Writes `text` to the file at `path`, replacing it; false on any I/O error.
+bool WriteTextFile(const std::string& path, std::string_view text);
 
 }  // namespace autonet
 

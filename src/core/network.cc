@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <map>
 
 #include "src/routing/spanning_tree.h"
@@ -539,25 +538,6 @@ std::vector<LogEntry> Network::MergedLog() const {
 
 std::string Network::DumpMetricsJson(const std::string& prefix) const {
   return sim_.metrics().SnapshotJson(prefix);
-}
-
-std::string Network::DumpTraceJson() const {
-  return sim_.trace().ToChromeTraceJson();
-}
-
-bool Network::WriteMetricsJson(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  std::string json = DumpMetricsJson();
-  bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  ok = std::fclose(f) == 0 && ok;
-  return ok;
-}
-
-bool Network::WriteTraceJson(const std::string& path) const {
-  return sim_.trace().WriteChromeTraceFile(path);
 }
 
 }  // namespace autonet

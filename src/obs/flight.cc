@@ -41,6 +41,40 @@ const char* FlightEventKindName(FlightEventKind kind) {
   return "unknown";
 }
 
+const char* PhaseName(ReconfigPhase phase) {
+  static constexpr const char* kNames[kReconfigPhaseCount] = {
+      "monitor", "tree", "fanin", "compute", "install"};
+  return kNames[static_cast<std::size_t>(phase)];
+}
+
+bool ParsePhase(std::string_view name, ReconfigPhase* out) {
+  for (ReconfigPhase phase : kAllPhases) {
+    if (name == PhaseName(phase)) {
+      *out = phase;
+      return true;
+    }
+  }
+  return false;
+}
+
+std::optional<ReconfigPhase> PhaseAfter(FlightEventKind kind) {
+  switch (kind) {
+    case FlightEventKind::kEpochJoin:
+      return ReconfigPhase::kTree;
+    case FlightEventKind::kReportSend:
+    case FlightEventKind::kReportRecv:
+      return ReconfigPhase::kFanIn;
+    case FlightEventKind::kTermination:
+    case FlightEventKind::kConfigRecv:
+      return ReconfigPhase::kCompute;
+    case FlightEventKind::kConfigCompute:
+    case FlightEventKind::kRouteInstall:
+      return ReconfigPhase::kInstall;
+    default:
+      return std::nullopt;
+  }
+}
+
 std::vector<FlightEvent> FlightRing::Chronological() const {
   std::vector<FlightEvent> out;
   out.reserve(events_.size());

@@ -17,14 +17,21 @@
 // SRP GetStats reply and netmon surface.
 //
 // The post-mortem reconstructor (src/obs/postmortem.h) stitches the rings
-// into a network-wide per-epoch timeline.
+// into a network-wide per-epoch timeline.  ReconfigPhase is the one
+// vocabulary for the phases of a reconfiguration wave: the post-mortem
+// breakdown, the Perfetto export and the adversary's phase-snipe all name
+// phases with it, and PhaseAfter is the one map from flight events to
+// phases.
 #ifndef SRC_OBS_FLIGHT_H_
 #define SRC_OBS_FLIGHT_H_
 
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -58,6 +65,35 @@ enum class FlightEventKind : std::uint8_t {
 
 // Short stable name ("epoch-join", "route-install", ...) for rendering.
 const char* FlightEventKindName(FlightEventKind kind);
+
+// The phases of one reconfiguration wave, in the order a wave passes
+// through them: skeptic hold-down before the trigger, the epoch-join
+// wavefront that builds the spanning tree, topology-report fan-in to the
+// root, route computation, and forwarding-table installation.
+enum class ReconfigPhase : std::uint8_t {
+  kMonitor,
+  kTree,
+  kFanIn,
+  kCompute,
+  kInstall,
+};
+inline constexpr ReconfigPhase kAllPhases[] = {
+    ReconfigPhase::kMonitor, ReconfigPhase::kTree, ReconfigPhase::kFanIn,
+    ReconfigPhase::kCompute, ReconfigPhase::kInstall};
+inline constexpr std::size_t kReconfigPhaseCount = std::size(kAllPhases);
+
+// "monitor", "tree", "fanin", "compute", "install": the tokens the adversary
+// grammar, the post-mortem text and the Perfetto export share.
+const char* PhaseName(ReconfigPhase phase);
+// Reads a PhaseName token; false for anything else.
+bool ParsePhase(std::string_view name, ReconfigPhase* out);
+
+// The phase a switch is in once its ring has recorded an event of `kind`:
+// epoch-join starts the tree phase, a report sent or received the fan-in,
+// root termination or a received configuration the computation, and the
+// queued route computation and a table load the installation.  Other kinds
+// do not move a switch between phases (nullopt).
+std::optional<ReconfigPhase> PhaseAfter(FlightEventKind kind);
 
 struct FlightEvent {
   Tick time = 0;

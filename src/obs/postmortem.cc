@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <unordered_map>
+#include <utility>
 
 #include "src/obs/trace.h"
 
@@ -22,6 +24,55 @@ std::string FormatTimeNs(Tick ns) {
 bool IsPrecursorKind(FlightEventKind kind) {
   return kind == FlightEventKind::kLinkChange ||
          kind == FlightEventKind::kSkepticTrip;
+}
+
+// Each switch's own wave through one epoch, on its `<node>.reconfig` track:
+// an `epoch <N>` span from the switch's epoch-join, holding one span per
+// phase.  A phase begins where the switch's ring records an event that
+// PhaseAfter maps to a later phase than the current one.  A table load ends
+// the wave once the switch is installing its configuration; one before that
+// is the one-hop bootstrap table and moves nothing.  A switch that never
+// loads its configuration (the epoch was superseded) ends the epoch at the
+// last event it recorded in it.
+void AddSwitchWaves(const EpochTimeline& tl, const std::string& epoch_name,
+                    TraceRecorder* tr) {
+  std::map<std::string, std::vector<const FlightEvent*>> by_node;
+  for (const PostMortemEvent& pe : tl.events) {
+    by_node[pe.node].push_back(&pe.ev);  // ring order within a node
+  }
+  for (const auto& [node, events] : by_node) {
+    auto join = std::find_if(events.begin(), events.end(),
+                             [](const FlightEvent* ev) {
+                               return ev->kind == FlightEventKind::kEpochJoin;
+                             });
+    if (join == events.end()) {
+      continue;
+    }
+    // (phase, begin) in wave order.
+    std::vector<std::pair<ReconfigPhase, Tick>> phases = {
+        {ReconfigPhase::kTree, (*join)->time}};
+    Tick end = events.back()->time;  // events are time-sorted
+    for (auto it = join + 1; it != events.end(); ++it) {
+      const FlightEvent& ev = **it;
+      if (ev.kind == FlightEventKind::kRouteInstall) {
+        if (phases.back().first == ReconfigPhase::kInstall) {
+          end = ev.time;
+          break;
+        }
+        continue;
+      }
+      std::optional<ReconfigPhase> next = PhaseAfter(ev.kind);
+      if (next.has_value() && *next > phases.back().first) {
+        phases.emplace_back(*next, ev.time);
+      }
+    }
+    const std::string track = node + ".reconfig";
+    tr->AddSpan(track, epoch_name, (*join)->time, end);
+    for (std::size_t i = 0; i < phases.size(); ++i) {
+      tr->AddSpan(track, PhaseName(phases[i].first), phases[i].second,
+                  i + 1 < phases.size() ? phases[i + 1].second : end);
+    }
+  }
 }
 
 }  // namespace
@@ -230,24 +281,24 @@ PostMortem PostMortem::Build(const FlightRecorder& recorder) {
 
     PhaseBreakdown& ph = tl.phases;
     if (tl.trigger_time >= 0) {
-      if (tl.first_skeptic.has_value()) {
-        ph.monitor = tl.trigger_time - tl.first_skeptic->ev.time;
-      } else if (tl.root_cause.has_value()) {
-        ph.monitor = tl.trigger_time - tl.root_cause->ev.time;
+      const std::optional<PostMortemEvent>& cause =
+          tl.first_skeptic.has_value() ? tl.first_skeptic : tl.root_cause;
+      if (cause.has_value()) {
+        ph[ReconfigPhase::kMonitor] = {cause->ev.time, tl.trigger_time};
       }
     }
     if (!tl.wavefront.empty()) {
-      ph.tree = tl.wavefront.back().time - tl.wavefront.front().time;
+      const Tick last_join = tl.wavefront.back().time;
+      ph[ReconfigPhase::kTree] = {tl.wavefront.front().time, last_join};
       if (tl.termination_time >= 0) {
-        ph.fanin = tl.termination_time - tl.wavefront.back().time;
+        ph[ReconfigPhase::kFanIn] = {last_join, tl.termination_time};
       }
     }
     if (tl.termination_time >= 0 && last_compute >= tl.termination_time) {
-      ph.compute = last_compute - tl.termination_time;
+      ph[ReconfigPhase::kCompute] = {tl.termination_time, last_compute};
     }
-    if (last_install >= 0 && last_compute >= 0 &&
-        last_install >= last_compute) {
-      ph.install = last_install - last_compute;
+    if (last_install >= 0 && last_compute >= 0) {
+      ph[ReconfigPhase::kInstall] = {last_compute, last_install};
     }
     ph.total = tl.end - tl.begin;
 
@@ -286,11 +337,13 @@ std::string PostMortem::RenderEpochText(const EpochTimeline& tl,
       out += "\n";
     }
   }
-  out += "  phases  : monitor " + FormatDurationNs(tl.phases.monitor) +
-         " | tree " + FormatDurationNs(tl.phases.tree) + " | fan-in " +
-         FormatDurationNs(tl.phases.fanin) + " | compute " +
-         FormatDurationNs(tl.phases.compute) + " | install " +
-         FormatDurationNs(tl.phases.install) + "\n";
+  out += "  phases  :";
+  for (ReconfigPhase phase : kAllPhases) {
+    out += std::string(phase == ReconfigPhase::kMonitor ? " " : " | ") +
+           PhaseName(phase) + " " +
+           FormatDurationNs(tl.phases[phase].duration());
+  }
+  out += "\n";
   if (tl.termination_time >= 0) {
     out += "  outcome : root terminated " + FormatTimeNs(tl.termination_time) +
            ", " + std::to_string(tl.route_installs) + " route install" +
@@ -335,45 +388,23 @@ std::string PostMortem::RenderText(bool with_events) const {
 }
 
 std::string PostMortem::ToChromeTraceJson() const {
-  TraceRecorder tr(1 << 20);
+  TraceRecorder tr;
   for (const EpochTimeline& tl : epochs_) {
+    const std::string epoch_name = "epoch " + std::to_string(tl.epoch);
     // The monitor phase begins on the previous epoch's ring (the skeptic
     // trip that gated the trigger), so the epoch span is widened to keep
     // the phase spans nested inside it.
-    Tick begin = tl.begin;
-    Tick monitor_start = -1;
-    if (tl.phases.monitor >= 0 && tl.trigger_time >= 0) {
-      monitor_start = tl.trigger_time - tl.phases.monitor;
-      begin = std::min(begin, monitor_start);
-    }
-    const std::string epoch_name = "epoch " + std::to_string(tl.epoch);
-    TraceRecorder::SpanId outer = tr.BeginSpan("reconfig", epoch_name, begin);
-    auto phase = [&](const char* name, Tick from, Tick to) {
-      if (from < 0 || to < from) {
-        return;
-      }
-      TraceRecorder::SpanId id =
-          tr.BeginSpan("reconfig.phase", std::string(name), from);
-      tr.EndSpan(id, to);
-    };
-    if (monitor_start >= 0) {
-      phase("monitor", monitor_start, tl.trigger_time);
-    }
-    if (!tl.wavefront.empty()) {
-      phase("tree", tl.wavefront.front().time, tl.wavefront.back().time);
-      if (tl.termination_time >= 0) {
-        phase("fan-in", tl.wavefront.back().time, tl.termination_time);
-        if (tl.phases.compute >= 0) {
-          phase("compute", tl.termination_time,
-                tl.termination_time + tl.phases.compute);
-          if (tl.phases.install >= 0) {
-            phase("install", tl.termination_time + tl.phases.compute,
-                  tl.termination_time + tl.phases.compute +
-                      tl.phases.install);
-          }
-        }
+    const PhaseWindow& monitor = tl.phases[ReconfigPhase::kMonitor];
+    Tick begin = monitor.recorded() ? std::min(tl.begin, monitor.begin)
+                                    : tl.begin;
+    tr.AddSpan("reconfig", epoch_name, begin, tl.end);
+    for (ReconfigPhase phase : kAllPhases) {
+      const PhaseWindow& w = tl.phases[phase];
+      if (w.recorded()) {
+        tr.AddSpan("reconfig.phase", PhaseName(phase), w.begin, w.end);
       }
     }
+    AddSwitchWaves(tl, epoch_name, &tr);
     for (const PostMortemEvent& pe : tl.events) {
       std::string name = FlightEventKindName(pe.ev.kind);
       if (pe.ev.detail[0] != '\0') {
@@ -381,7 +412,6 @@ std::string PostMortem::ToChromeTraceJson() const {
       }
       tr.Instant(pe.node + ".flight", std::move(name), pe.ev.time);
     }
-    tr.EndSpan(outer, tl.end);
   }
   return tr.ToChromeTraceJson();
 }

@@ -6,19 +6,20 @@
 //     triggering switch, the trigger itself, and the epoch wavefront
 //     (every switch's join, hop by hop, with the neighbor that carried
 //     the epoch to it);
-//   * a phase breakdown — how long the epoch spent in monitoring
-//     hold-down, tree construction (the join wavefront), topology-report
-//     fan-in, route computation, and route installation;
+//   * a phase breakdown — when the epoch was in monitoring hold-down, tree
+//     construction (the join wavefront), topology-report fan-in, route
+//     computation, and route installation (obs::ReconfigPhase);
 //   * the full time-sorted event list across all switches.
 //
 // The reconstruction is read-only over the recorder and deterministic:
 // events are ordered by (time, node name, ring position).  Renderers
 // produce a human text report and a Perfetto-compatible Chrome trace
-// (reusing TraceRecorder's exporter), and the chaos runner attaches the
-// per-epoch summaries to failed-oracle entries.
+// (through TraceRecorder), and the chaos runner attaches the per-epoch
+// summaries to failed-oracle entries.
 #ifndef SRC_OBS_POSTMORTEM_H_
 #define SRC_OBS_POSTMORTEM_H_
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -48,16 +49,35 @@ struct WavefrontHop {
   std::int16_t port = -1;
 };
 
-// Durations of the convergence phases of one epoch, in ns of sim time.
-// -1 marks a phase whose boundary events were never recorded (the epoch
-// was superseded before reaching it, or the cause predates the rings).
+// Where one phase of an epoch began and ended, in sim time.  -1 marks a
+// boundary whose event was never recorded (the epoch was superseded before
+// reaching it, or the cause predates the rings).
+struct PhaseWindow {
+  Tick begin = -1;
+  Tick end = -1;
+
+  bool recorded() const { return begin >= 0 && end >= begin; }
+  // end - begin in ns, or -1 when the window was not recorded.
+  Tick duration() const { return recorded() ? end - begin : -1; }
+};
+
+// The convergence phases of one epoch, network-wide, indexed by
+// ReconfigPhase:
+//   monitor  root-cause fault -> trigger (skeptic hold-down)
+//   tree     first join -> last join (the wavefront)
+//   fanin    last join -> root termination (report fan-in)
+//   compute  termination -> last route computation queued
+//   install  -> last forwarding-table load of the epoch
 struct PhaseBreakdown {
-  Tick monitor = -1;  // root-cause fault -> trigger (skeptic hold-down)
-  Tick tree = -1;     // first join -> last join (the wavefront)
-  Tick fanin = -1;    // last join -> root termination (report fan-in)
-  Tick compute = -1;  // termination -> last route computation queued
-  Tick install = -1;  // -> last forwarding-table load of the epoch
-  Tick total = 0;     // first event -> last event of the epoch
+  std::array<PhaseWindow, kReconfigPhaseCount> windows;
+  Tick total = 0;  // first event -> last event of the epoch
+
+  PhaseWindow& operator[](ReconfigPhase phase) {
+    return windows[static_cast<std::size_t>(phase)];
+  }
+  const PhaseWindow& operator[](ReconfigPhase phase) const {
+    return windows[static_cast<std::size_t>(phase)];
+  }
 };
 
 // Everything reconstructed about one epoch.
@@ -103,9 +123,13 @@ class PostMortem {
   std::string RenderEpochText(const EpochTimeline& tl,
                               bool with_events = false) const;
 
-  // Chrome trace-event JSON (loads in Perfetto): one track per switch
-  // with an instant per flight event, plus a "reconfig" track carrying
-  // epoch spans subdivided into phase spans.
+  // Chrome trace-event JSON (loads in Perfetto):
+  //   * `reconfig` / `reconfig.phase`: one `epoch <N>` span per epoch and
+  //     one span per recorded PhaseBreakdown window, named by PhaseName;
+  //   * `<switch>.reconfig`: one `epoch <N>` span per epoch the switch
+  //     joined, holding that switch's own phase spans, cut where its ring
+  //     records an event PhaseAfter maps to a later phase;
+  //   * `<switch>.flight`: an instant per flight event.
   std::string ToChromeTraceJson() const;
 
  private:

@@ -1,64 +1,24 @@
 #include "src/obs/trace.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <utility>
 
 #include "src/obs/json.h"
 
 namespace autonet {
 namespace obs {
 
-TraceRecorder::SpanId TraceRecorder::BeginSpan(const std::string& track,
-                                               std::string name, Tick now) {
-  if (!enabled_ || spans_.size() >= capacity_) {
-    if (enabled_) {
-      ++dropped_;
-    }
-    return 0;
-  }
-  TrackId(track);
-  SpanId id = next_id_++;
-  open_.emplace(id, spans_.size());
-  spans_.push_back(Span{track, std::move(name), now, -1, false});
-  return id;
-}
-
-void TraceRecorder::EndSpan(SpanId id, Tick now) {
-  auto it = open_.find(id);
-  if (it == open_.end()) {
-    return;
-  }
-  spans_[it->second].end = now;
-  open_.erase(it);
+void TraceRecorder::AddSpan(const std::string& track, std::string name,
+                            Tick begin, Tick end) {
+  // Track ids are assigned in order of first use.
+  track_ids_.emplace(track, static_cast<int>(track_ids_.size()) + 1);
+  spans_.push_back(Span{track, std::move(name), begin, end, false});
 }
 
 void TraceRecorder::Instant(const std::string& track, std::string name,
-                            Tick now) {
-  if (!enabled_ || spans_.size() >= capacity_) {
-    if (enabled_) {
-      ++dropped_;
-    }
-    return;
-  }
-  TrackId(track);
-  spans_.push_back(Span{track, std::move(name), now, now, true});
-}
-
-void TraceRecorder::Clear() {
-  spans_.clear();
-  open_.clear();
-  track_ids_.clear();
-  dropped_ = 0;
-}
-
-int TraceRecorder::TrackId(const std::string& track) {
-  auto it = track_ids_.find(track);
-  if (it != track_ids_.end()) {
-    return it->second;
-  }
-  int id = static_cast<int>(track_ids_.size()) + 1;
-  track_ids_.emplace(track, id);
-  return id;
+                            Tick at) {
+  AddSpan(track, std::move(name), at, at);
+  spans_.back().instant = true;
 }
 
 std::string TraceRecorder::ToChromeTraceJson() const {
@@ -94,17 +54,14 @@ std::string TraceRecorder::ToChromeTraceJson() const {
                    });
 
   for (const Span* s : order) {
-    auto tid = track_ids_.find(s->track);
     w.BeginObject();
     w.Key("name").String(s->name);
     w.Key("pid").Int(1);
-    w.Key("tid").Int(tid == track_ids_.end() ? 0 : tid->second);
+    w.Key("tid").Int(track_ids_.at(s->track));
     w.Key("ts").Number(static_cast<double>(s->begin) / 1000.0);
     if (s->instant) {
       w.Key("ph").String("i");
       w.Key("s").String("t");  // thread-scoped instant
-    } else if (s->open()) {
-      w.Key("ph").String("B");
     } else {
       w.Key("ph").String("X");
       w.Key("dur").Number(static_cast<double>(s->end - s->begin) / 1000.0);
@@ -114,17 +71,6 @@ std::string TraceRecorder::ToChromeTraceJson() const {
   w.EndArray();
   w.EndObject();
   return w.Take();
-}
-
-bool TraceRecorder::WriteChromeTraceFile(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  std::string json = ToChromeTraceJson();
-  bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  ok = std::fclose(f) == 0 && ok;
-  return ok;
 }
 
 }  // namespace obs

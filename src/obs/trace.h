@@ -1,22 +1,14 @@
-// Sim-time trace span recorder.  Components open named spans on named
-// tracks (one track per switch/subsystem, e.g. `s4.reconfig`) and the
-// recorder exports Chrome trace-event JSON that loads directly in Perfetto
-// or chrome://tracing, rendering a whole reconfiguration wave — trigger,
-// epoch join, stability, root termination, config distribution — as a
-// per-switch timeline.
-//
-// Spans must be properly nested per track (inner spans end before outer
-// ones), which the reconfiguration phase instrumentation guarantees by
-// construction.  The recorder is bounded: past `capacity` spans new Begin
-// calls are dropped (and counted), so long benchmark runs cannot grow
-// memory without limit.
+// Chrome trace-event JSON builder.  A caller that knows both ends of every
+// span adds closed spans and instant markers on named tracks (one track per
+// switch or view, e.g. `sw4.reconfig`), and the builder exports JSON that
+// loads directly in Perfetto or chrome://tracing.  Its one user is the
+// post-mortem reconstructor, which derives every span from the flight
+// recorder after the run.
 #ifndef SRC_OBS_TRACE_H_
 #define SRC_OBS_TRACE_H_
 
-#include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/time.h"
@@ -26,52 +18,30 @@ namespace obs {
 
 class TraceRecorder {
  public:
-  // 0 is the invalid span id; EndSpan(0) is a no-op, so call sites need no
-  // branches for the disabled/full cases.
-  using SpanId = std::uint64_t;
+  // A span [begin, end] of simulated time on `track`.
+  void AddSpan(const std::string& track, std::string name, Tick begin,
+               Tick end);
+  // A zero-duration marker event.
+  void Instant(const std::string& track, std::string name, Tick at);
 
+  // Chrome trace-event JSON: {"traceEvents": [...]} with one complete ("X")
+  // event per span, an instant ("i") event per marker, and thread-name
+  // metadata naming each track.  Spans are sorted by begin time, longer
+  // first on a tie, so spans on one track nest outer-first in viewers.
+  // Timestamps are microseconds of simulated time.
+  std::string ToChromeTraceJson() const;
+
+ private:
   struct Span {
     std::string track;
     std::string name;
     Tick begin = 0;
-    Tick end = -1;  // -1 while open
+    Tick end = 0;
     bool instant = false;
-    bool open() const { return !instant && end < 0; }
   };
 
-  explicit TraceRecorder(std::size_t capacity = 1 << 16)
-      : capacity_(capacity) {}
-
-  SpanId BeginSpan(const std::string& track, std::string name, Tick now);
-  void EndSpan(SpanId id, Tick now);
-  // A zero-duration marker event.
-  void Instant(const std::string& track, std::string name, Tick now);
-
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-  bool enabled() const { return enabled_; }
-
-  const std::vector<Span>& spans() const { return spans_; }
-  std::size_t open_count() const { return open_.size(); }
-  std::uint64_t dropped() const { return dropped_; }
-  void Clear();
-
-  // Chrome trace-event JSON: {"traceEvents": [...]} with one complete ("X")
-  // event per closed span, a begin ("B") event per still-open span, an
-  // instant ("i") event per marker, and thread-name metadata naming each
-  // track.  Timestamps are microseconds of simulated time.
-  std::string ToChromeTraceJson() const;
-  bool WriteChromeTraceFile(const std::string& path) const;
-
- private:
-  int TrackId(const std::string& track);
-
-  bool enabled_ = true;
-  std::size_t capacity_;
-  std::uint64_t next_id_ = 1;
-  std::uint64_t dropped_ = 0;
   std::vector<Span> spans_;
-  std::unordered_map<SpanId, std::size_t> open_;  // id -> index in spans_
-  std::map<std::string, int> track_ids_;          // deterministic tids
+  std::map<std::string, int> track_ids_;  // deterministic tids
 };
 
 }  // namespace obs

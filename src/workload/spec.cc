@@ -1,5 +1,7 @@
 #include "src/workload/spec.h"
 
+#include <map>
+#include <set>
 #include <sstream>
 
 #include "src/common/text.h"
@@ -66,10 +68,22 @@ bool ParseSpec(const std::vector<std::string>& tokens, std::size_t start,
     }
     spec.kind = static_cast<Kind>(static_cast<int>(spec.kind) + 1);
   }
+  // The kinds that use each kind-specific knob; bytes is for every kind.
+  static const std::map<std::string, std::set<Kind>> kUsers = {
+      {"response", {Kind::kRpc}},
+      {"window", {Kind::kRpc}},
+      {"timeout", {Kind::kRpc, Kind::kAllreduce}},
+      {"period", {Kind::kStreams}},
+      {"deadline", {Kind::kStreams}}};
   // Every count and time is at least 1.
   std::string why = ReadKeyValues(
       tokens, start + 1,
       [&](const std::string& key, const std::string& value) -> std::string {
+        auto users = kUsers.find(key);
+        if (spec.kind == Kind::kNone ||
+            (users != kUsers.end() && users->second.count(spec.kind) == 0)) {
+          return "workload " + kind + " does not use knob '" + key + "'";
+        }
         if (key == "bytes") {
           if (!ParseInt(value, &spec.data_bytes) || spec.data_bytes < 1) {
             return "bad bytes '" + value + "'";

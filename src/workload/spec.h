@@ -46,8 +46,10 @@ struct Spec {
 
 // Parses `tokens[start..]` as `<kind> [key value]...` where keys are
 // bytes/response/window/period/deadline/timeout, each at most once, and times
-// take unit suffixes (ns/us/ms/s).  Returns false with *error set on a bad
-// token.
+// take unit suffixes (ns/us/ms/s).  response and window are for rpc only,
+// timeout for rpc and allreduce, period and deadline for streams only: ToText
+// drops a knob the kind does not use, so such text is rejected.  Returns
+// false with *error set on a bad token.
 bool ParseSpec(const std::vector<std::string>& tokens, std::size_t start,
                Spec* out, std::string* error);
 

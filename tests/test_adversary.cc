@@ -48,7 +48,7 @@ TEST(AdversarySpec, TextRoundTripEveryStrategy) {
     spec.moves = 7;
     spec.duration = 1500 * kMillisecond;
     spec.period = 250 * kMicrosecond;
-    spec.phase = "fanin";
+    spec.phase = obs::ReconfigPhase::kFanIn;
     spec.burst = 9;
     spec.amount = 5;
     std::string error;
@@ -84,10 +84,32 @@ TEST(AdversarySpec, RejectsBadInput) {
   EXPECT_FALSE(ParseSpecText("corrupt-epoch amount -1", &spec, &error));
   EXPECT_FALSE(ParseSpecText("storm duration 10000000000s", &spec, &error));
 
+  EXPECT_FALSE(ParseSpecText("phase-snipe phase fan-in", &spec, &error));
+
+  // A knob the strategy does not use would be dropped by ToText: rejected,
+  // naming the knob and both strategies.
+  EXPECT_FALSE(ParseSpecText("root-chase burst 8", &spec, &error));
+  EXPECT_NE(error.find("'burst' is for storm only, not root-chase"),
+            std::string::npos)
+      << error;
+  EXPECT_FALSE(ParseSpecText("storm phase tree", &spec, &error));
+  EXPECT_NE(error.find("'phase' is for phase-snipe only, not storm"),
+            std::string::npos)
+      << error;
+  EXPECT_FALSE(ParseSpecText("corrupt-table amount 2", &spec, &error));
+  EXPECT_NE(error.find("'amount' is for corrupt-epoch only, not corrupt-table"),
+            std::string::npos)
+      << error;
+  EXPECT_FALSE(ParseSpecText("phase-snipe burst 2", &spec, &error));
+  EXPECT_FALSE(ParseSpecText("none moves 3", &spec, &error));
+
   // amount 0 is legal: it selects the runaway epoch jump.
   ASSERT_TRUE(ParseSpecText("corrupt-epoch amount 0", &spec, &error))
       << error;
   EXPECT_EQ(spec.amount, 0u);
+  ASSERT_TRUE(ParseSpecText("phase-snipe phase fanin", &spec, &error))
+      << error;
+  EXPECT_EQ(spec.phase, obs::ReconfigPhase::kFanIn);
 }
 
 TEST(AdversarySpec, DefaultIsDisabled) {

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/chaos/corpus.h"
@@ -16,6 +20,7 @@
 #include "src/common/event_log.h"
 #include "src/core/network.h"
 #include "src/obs/json.h"
+#include "src/obs/postmortem.h"
 #include "src/sim/random.h"
 #include "src/topo/spec.h"
 
@@ -113,6 +118,31 @@ TEST(Scenario, ParseErrorsNameTheLine) {
         << bad;
     EXPECT_NE(error.find("line 2"), std::string::npos) << bad << ": " << error;
   }
+
+  // One workload and one adversary line per scenario: a second one would
+  // silently replace the first.
+  EXPECT_TRUE(ParseScenarios("scenario x\n"
+                             "  workload rpc\n"
+                             "  at 5ms cut cable 0\n"
+                             "  workload streams\n",
+                             &error)
+                  .empty());
+  EXPECT_NE(error.find("line 4"), std::string::npos) << error;
+  EXPECT_NE(error.find("second 'workload'"), std::string::npos) << error;
+  EXPECT_TRUE(ParseScenarios("scenario x\n"
+                             "  adversary storm\n"
+                             "  adversary root-chase\n",
+                             &error)
+                  .empty());
+  EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+  EXPECT_NE(error.find("second 'adversary'"), std::string::npos) << error;
+  // Each scenario gets its own.
+  EXPECT_EQ(ParseScenarios("scenario x\n  workload rpc\n"
+                           "scenario y\n  workload rpc\n",
+                           &error)
+                .size(),
+            2u)
+      << error;
 }
 
 TEST(Scenario, RateAndTickPrintInShortestExactForm) {
@@ -388,9 +418,8 @@ class TextGen {
     spec.duration = Time(1);
     spec.period = Bit() ? 0 : Time(1);
     if (spec.strategy == adversary::Strategy::kPhaseSnipe) {
-      static const char* kPhases[] = {"monitor", "tree", "fanin", "compute",
-                                      "install"};
-      spec.phase = kPhases[Int(0, 4)];
+      spec.phase = static_cast<obs::ReconfigPhase>(
+          Int(0, obs::kReconfigPhaseCount - 1));
     } else if (spec.strategy == adversary::Strategy::kStorm) {
       spec.burst = static_cast<int>(Int(1, 64));
     } else if (spec.strategy == adversary::Strategy::kCorruptEpoch) {
@@ -581,6 +610,99 @@ TEST(Oracles, HealthyDiameterScalesDeadlines) {
   EXPECT_EQ(HealthyDiameter(line), 5);
   Network ring(MakeRing(8, 1));
   EXPECT_EQ(HealthyDiameter(ring), 4);
+}
+
+// --- post-mortem export -----------------------------------------------------
+
+// The Perfetto export and the post-mortem breakdown are two views of one
+// flight record.  On every run of the default corpus on small3: for every
+// epoch, the `reconfig.phase` spans are exactly the PhaseBreakdown windows,
+// and every phase span on a `<switch>.reconfig` track nests inside an epoch
+// span on that track.
+TEST(PostMortemExport, PerfettoAgreesWithPhaseBreakdownOnDefaultCorpus) {
+  std::string error;
+  const TopoSpec topo = TopologyByName("small3", &error);
+  ASSERT_TRUE(error.empty()) << error;
+  const CampaignConfig config;
+  const std::vector<Scenario> corpus = DefaultCorpus();
+  EXPECT_EQ(corpus.size(), 13u);
+  std::size_t epochs = 0;
+  std::size_t switch_phase_spans = 0;
+  for (const Scenario& s : corpus) {
+    SCOPED_TRACE(s.name);
+    Network net(topo, config.network);
+    net.sim().flight().Arm();
+    net.Boot();
+    const Tick settle = config.convergence_base +
+                        config.convergence_per_hop * HealthyDiameter(net);
+    ASSERT_TRUE(net.WaitForConsistency(settle, config.quiet));
+    ScenarioExecutor exec(&net, s, 1);
+    exec.Schedule(net.sim().now());
+    if (exec.script_end() > net.sim().now()) {
+      net.Run(exec.script_end() - net.sim().now());
+    }
+    net.WaitForConsistency(net.sim().now() + settle, config.quiet);
+
+    obs::PostMortem pm = obs::PostMortem::Build(net.sim().flight());
+    std::optional<JsonValue> doc = ParseJson(pm.ToChromeTraceJson());
+    ASSERT_TRUE(doc.has_value());
+    const std::vector<JsonValue>& events = doc->Find("traceEvents")->array;
+
+    // (name, begin ns, end ns) per span, by track.
+    using Span = std::tuple<std::string, long long, long long>;
+    std::map<int, std::string> track_of;
+    for (const JsonValue& ev : events) {
+      if (ev.Find("ph")->str == "M") {
+        track_of[static_cast<int>(ev.Find("tid")->number)] =
+            ev.Find("args")->Find("name")->str;
+      }
+    }
+    std::map<std::string, std::multiset<Span>> spans;
+    for (const JsonValue& ev : events) {
+      if (ev.Find("ph")->str != "X") {
+        continue;
+      }
+      long long begin = std::llround(ev.Find("ts")->number * 1000);
+      long long dur = std::llround(ev.Find("dur")->number * 1000);
+      spans[track_of[static_cast<int>(ev.Find("tid")->number)]].insert(
+          {ev.Find("name")->str, begin, begin + dur});
+    }
+
+    std::multiset<Span> expected;
+    for (const obs::EpochTimeline& tl : pm.epochs()) {
+      ++epochs;
+      for (std::size_t i = 0; i < obs::kReconfigPhaseCount; ++i) {
+        const auto phase = static_cast<obs::ReconfigPhase>(i);
+        const obs::PhaseWindow& w = tl.phases[phase];
+        if (w.recorded()) {
+          expected.insert({obs::PhaseName(phase), w.begin, w.end});
+        }
+      }
+    }
+    EXPECT_EQ(spans["reconfig.phase"], expected);
+
+    for (const auto& [track, track_spans] : spans) {
+      if (track.size() <= 9 ||
+          track.compare(track.size() - 9, 9, ".reconfig") != 0) {
+        continue;
+      }
+      for (const auto& [name, begin, end] : track_spans) {
+        if (name.rfind("epoch ", 0) == 0) {
+          continue;
+        }
+        ++switch_phase_spans;
+        bool nested = std::any_of(
+            track_spans.begin(), track_spans.end(), [&](const Span& e) {
+              return std::get<0>(e).rfind("epoch ", 0) == 0 &&
+                     std::get<1>(e) <= begin && end <= std::get<2>(e);
+            });
+        EXPECT_TRUE(nested) << track << " " << name << " [" << begin << ", "
+                            << end << "] is in no epoch span";
+      }
+    }
+  }
+  EXPECT_GT(epochs, corpus.size());
+  EXPECT_GT(switch_phase_spans, epochs);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Telemetry subsystem tests: metric registry semantics, trace span
-// recording and Chrome-trace export, snapshot JSON round-trips through the
-// bundled parser, and the two end-to-end acceptance paths — a 3x3 torus
-// reconfiguration producing nested per-switch spans, and SRP GetStats
-// pulling a remote switch's counters across the fabric.
+// Telemetry subsystem tests: metric registry semantics, Chrome-trace
+// export, snapshot JSON round-trips through the bundled parser, and the two
+// end-to-end acceptance paths — a 3x3 torus reconfiguration whose flight
+// record exports nested per-switch spans, and SRP GetStats pulling a remote
+// switch's counters across the fabric.
 #include <cmath>
 #include <map>
 #include <set>
@@ -219,35 +219,13 @@ TEST(MetricRegistry, SnapshotJsonRoundTrips) {
 
 // --- trace recorder ---
 
-TEST(TraceRecorder, SpanBeginEndPairing) {
-  TraceRecorder tr;
-  TraceRecorder::SpanId outer = tr.BeginSpan("t", "outer", 1000);
-  TraceRecorder::SpanId inner = tr.BeginSpan("t", "inner", 2000);
-  EXPECT_NE(outer, 0u);
-  EXPECT_NE(inner, 0u);
-  EXPECT_EQ(tr.open_count(), 2u);
-
-  tr.EndSpan(inner, 3000);
-  tr.EndSpan(outer, 5000);
-  EXPECT_EQ(tr.open_count(), 0u);
-
-  tr.EndSpan(0, 6000);      // invalid id: no-op by contract
-  tr.EndSpan(inner, 6000);  // double end: no-op
-  ASSERT_EQ(tr.spans().size(), 2u);
-  EXPECT_EQ(tr.spans()[0].name, "outer");
-  EXPECT_EQ(tr.spans()[0].end, 5000);
-  EXPECT_EQ(tr.spans()[1].end, 3000);
-  EXPECT_EQ(tr.dropped(), 0u);
-}
-
 TEST(TraceRecorder, ChromeExportShapesEvents) {
   TraceRecorder tr;
-  TraceRecorder::SpanId outer = tr.BeginSpan("sw0.reconfig", "epoch 1", 1000);
-  TraceRecorder::SpanId inner = tr.BeginSpan("sw0.reconfig", "tree", 1000);
-  tr.EndSpan(inner, 2000);
-  tr.EndSpan(outer, 5000);
-  tr.Instant("sw0.reconfig", "trigger: boot", 500);
-  tr.BeginSpan("sw1.reconfig", "epoch 1", 1500);  // left open
+  // The inner span is added first: export order comes from the times.
+  tr.AddSpan("sw0.reconfig", "tree", 1000, 2000);
+  tr.AddSpan("sw0.reconfig", "epoch 1", 1000, 5000);
+  tr.Instant("sw0.flight", "trigger boot", 500);
+  tr.AddSpan("sw1.reconfig", "epoch 1", 1500, 1500);  // zero-length
 
   auto doc = ParseJson(tr.ToChromeTraceJson());
   ASSERT_TRUE(doc.has_value());
@@ -276,36 +254,13 @@ TEST(TraceRecorder, ChromeExportShapesEvents) {
       EXPECT_DOUBLE_EQ(ev.Find("dur")->number, 1.0);  // 1000 ns = 1 us
     }
   }
-  EXPECT_EQ(phases["M"], 2);  // one thread_name record per track
-  EXPECT_EQ(phases["X"], 2);
-  EXPECT_EQ(phases["B"], 1);  // the still-open sw1 span
+  EXPECT_EQ(phases["M"], 3);  // one thread_name record per track
+  EXPECT_EQ(phases["X"], 3);
   EXPECT_EQ(phases["i"], 1);
+  EXPECT_EQ(phases.size(), 3u);  // closed spans only: no "B" events
   EXPECT_TRUE(tracks.count("sw0.reconfig"));
+  EXPECT_TRUE(tracks.count("sw0.flight"));
   EXPECT_TRUE(tracks.count("sw1.reconfig"));
-}
-
-TEST(TraceRecorder, DropsPastCapacity) {
-  TraceRecorder tr(2);
-  EXPECT_NE(tr.BeginSpan("t", "a", 0), 0u);
-  EXPECT_NE(tr.BeginSpan("t", "b", 1), 0u);
-  EXPECT_EQ(tr.BeginSpan("t", "c", 2), 0u);
-  tr.Instant("t", "d", 3);
-  EXPECT_EQ(tr.spans().size(), 2u);
-  EXPECT_EQ(tr.dropped(), 2u);
-
-  tr.Clear();
-  EXPECT_EQ(tr.spans().size(), 0u);
-  EXPECT_EQ(tr.dropped(), 0u);
-  EXPECT_NE(tr.BeginSpan("t", "e", 4), 0u);
-}
-
-TEST(TraceRecorder, DisabledRecordsNothing) {
-  TraceRecorder tr;
-  tr.set_enabled(false);
-  EXPECT_EQ(tr.BeginSpan("t", "a", 0), 0u);
-  tr.Instant("t", "b", 1);
-  EXPECT_TRUE(tr.spans().empty());
-  EXPECT_EQ(tr.dropped(), 0u);  // disabled is not "dropped"
 }
 
 // --- flight recorder & post-mortem ---
@@ -434,13 +389,16 @@ TEST(PostMortem, ReconstructsBlameChainWavefrontAndPhases) {
   EXPECT_EQ(tl->wavefront[1].from, "sw0");  // causal tag resolved to a name
   EXPECT_EQ(tl->wavefront[1].port, 3);
 
-  // Phases: monitor 200->1000, tree 1000->1500, fan-in 1500->2000,
+  // Phases: monitor 200->1000, tree 1000->1500, fanin 1500->2000,
   // compute 2000->2100, install 2100->2300.
-  EXPECT_EQ(tl->phases.monitor, 800);
-  EXPECT_EQ(tl->phases.tree, 500);
-  EXPECT_EQ(tl->phases.fanin, 500);
-  EXPECT_EQ(tl->phases.compute, 100);
-  EXPECT_EQ(tl->phases.install, 200);
+  using obs::ReconfigPhase;
+  EXPECT_EQ(tl->phases[ReconfigPhase::kMonitor].begin, 200);
+  EXPECT_EQ(tl->phases[ReconfigPhase::kMonitor].duration(), 800);
+  EXPECT_EQ(tl->phases[ReconfigPhase::kTree].duration(), 500);
+  EXPECT_EQ(tl->phases[ReconfigPhase::kFanIn].duration(), 500);
+  EXPECT_EQ(tl->phases[ReconfigPhase::kCompute].duration(), 100);
+  EXPECT_EQ(tl->phases[ReconfigPhase::kInstall].begin, 2100);
+  EXPECT_EQ(tl->phases[ReconfigPhase::kInstall].duration(), 200);
   EXPECT_EQ(tl->termination_time, 2000);
   EXPECT_EQ(tl->route_installs, 2);
 
@@ -456,29 +414,61 @@ TEST(PostMortem, ReconstructsBlameChainWavefrontAndPhases) {
   const std::string text = pm.RenderText(true);
   EXPECT_NE(text.find("=== epoch 5"), std::string::npos);
   EXPECT_NE(text.find("<- sw0 (port 3)"), std::string::npos);
+  EXPECT_NE(text.find("phases  : monitor 800ns | tree 500ns | fanin 500ns | "
+                      "compute 100ns | install 200ns"),
+            std::string::npos)
+      << text;
   auto doc = ParseJson(pm.ToChromeTraceJson());
   ASSERT_TRUE(doc.has_value());
-  std::set<std::string> span_names;
+  std::map<int, std::string> track_of;  // tid -> track name
   for (const JsonValue& e : doc->Find("traceEvents")->array) {
-    if (e.Find("ph")->str == "X") {
-      span_names.insert(e.Find("name")->str);
+    if (e.Find("ph")->str == "M") {
+      track_of[static_cast<int>(e.Find("tid")->number)] =
+          e.Find("args")->Find("name")->str;
     }
   }
-  EXPECT_TRUE(span_names.count("epoch 5"));
-  for (const char* phase :
-       {"monitor", "tree", "fan-in", "compute", "install"}) {
-    EXPECT_TRUE(span_names.count(phase)) << phase;
+  // track -> span name -> (ts, dur) in microseconds.
+  std::map<std::string, std::map<std::string, std::pair<double, double>>>
+      spans;
+  for (const JsonValue& e : doc->Find("traceEvents")->array) {
+    if (e.Find("ph")->str == "X") {
+      spans[track_of[static_cast<int>(e.Find("tid")->number)]]
+           [e.Find("name")->str] = {e.Find("ts")->number,
+                                    e.Find("dur")->number};
+    }
   }
+  using Spans = std::map<std::string, std::pair<double, double>>;
+  // Epoch 4 holds only the precursors, which carry the old epoch's tag.
+  EXPECT_EQ(spans["reconfig"],
+            (Spans{{"epoch 4", {0.1, 0.1}}, {"epoch 5", {0.2, 2.1}}}));
+  EXPECT_EQ(spans["reconfig.phase"], (Spans{{"monitor", {0.2, 0.8}},
+                                            {"tree", {1.0, 0.5}},
+                                            {"fanin", {1.5, 0.5}},
+                                            {"compute", {2.0, 0.1}},
+                                            {"install", {2.1, 0.2}}}));
+  // sw0's own wave: it triggered and terminated as root, queued its route
+  // computation at 2100 and loaded the table at 2200.
+  EXPECT_EQ(spans["sw0.reconfig"], (Spans{{"epoch 5", {1.0, 1.2}},
+                                          {"tree", {1.0, 1.0}},
+                                          {"compute", {2.0, 0.1}},
+                                          {"install", {2.1, 0.1}}}));
+  // sw1 joined at 1500 and recorded no report or configuration, so it
+  // stayed in the tree phase through its last event of the epoch (the table
+  // load at 2300, which ends no install phase).
+  EXPECT_EQ(spans["sw1.reconfig"], (Spans{{"epoch 5", {1.5, 0.8}},
+                                          {"tree", {1.5, 0.8}}}));
 }
 
 // --- end-to-end acceptance ---
 
 // A 3x3 torus boots, converges, then loses its spanning-tree root: every
-// surviving switch must join a fresh epoch, and the exported Chrome trace
-// must carry, for every switch, at least one span per epoch it joined, with
-// phase spans nested inside epoch spans and monotonic timestamps.
+// surviving switch must join a fresh epoch, and the Chrome trace derived from
+// the flight record must carry, for every switch, one span per epoch it
+// joined, with phase spans nested inside epoch spans and monotonic
+// timestamps.
 TEST(Telemetry, TorusReconfigurationTraceSpans) {
   Network net(MakeTorus(3, 3, 1));
+  net.sim().flight().Arm();
   net.Boot();
   ASSERT_TRUE(net.WaitForConsistency(120 * kSecond));
   const std::uint64_t boot_epoch = net.autopilot_at(0).epoch();
@@ -498,10 +488,9 @@ TEST(Telemetry, TorusReconfigurationTraceSpans) {
   const int survivor = root == 0 ? 1 : 0;
   const std::uint64_t final_epoch = net.autopilot_at(survivor).epoch();
   EXPECT_GT(final_epoch, boot_epoch);
-  // Converged and crashed switches alike have closed all their spans.
-  EXPECT_EQ(net.sim().trace().open_count(), 0u);
 
-  auto doc = ParseJson(net.DumpTraceJson());
+  obs::PostMortem pm = obs::PostMortem::Build(net.sim().flight());
+  auto doc = ParseJson(pm.ToChromeTraceJson());
   ASSERT_TRUE(doc.has_value());
   const JsonValue* events = doc->Find("traceEvents");
   ASSERT_NE(events, nullptr);
@@ -554,8 +543,19 @@ TEST(Telemetry, TorusReconfigurationTraceSpans) {
         phase_spans.push_back(e);
       }
     }
-    // At least one span per epoch this switch joined; everyone joined the
-    // boot epoch, and every survivor joined the post-crash epoch.
+    // One span per epoch this switch joined; everyone joined the boot
+    // epoch, and every survivor joined the post-crash epoch.
+    const obs::FlightRing* ring =
+        net.sim().flight().Find(net.switch_at(i).name());
+    ASSERT_NE(ring, nullptr);
+    std::set<std::string> joined;
+    for (const obs::FlightEvent& ev : ring->Chronological()) {
+      if (ev.kind == obs::FlightEventKind::kEpochJoin) {
+        joined.insert("epoch " + std::to_string(ev.epoch));
+      }
+    }
+    EXPECT_EQ(epochs, joined);
+    EXPECT_EQ(epoch_spans.size(), joined.size());
     EXPECT_TRUE(epochs.count("epoch " + std::to_string(boot_epoch)));
     if (i != root) {
       EXPECT_TRUE(epochs.count("epoch " + std::to_string(final_epoch)));

@@ -66,6 +66,27 @@ TEST(Spec, ParseRejectsBadInput) {
   EXPECT_FALSE(ParseSpecText("rpc bytes -5", &spec, &error));
   EXPECT_FALSE(ParseSpecText("rpc timeout 10000000000s", &spec, &error));
 
+  // A knob the kind does not use would be dropped by ToText: rejected,
+  // naming the kind and the knob.
+  for (const char* unused : {
+           "streams window 4",
+           "streams response 8",
+           "streams timeout 100ms",
+           "allreduce period 5ms",
+           "allreduce deadline 5ms",
+           "allreduce window 2",
+           "rpc period 5ms",
+           "rpc deadline 25ms",
+           "none bytes 5",
+       }) {
+    EXPECT_FALSE(ParseSpecText(unused, &spec, &error)) << unused;
+    EXPECT_NE(error.find("does not use knob"), std::string::npos)
+        << unused << ": " << error;
+  }
+  EXPECT_NE(error.find("workload none"), std::string::npos) << error;
+  ASSERT_TRUE(ParseSpecText("allreduce bytes 64 timeout 1s", &spec, &error))
+      << error;
+
   ASSERT_TRUE(ParseSpecText("none", &spec, &error)) << error;
   EXPECT_FALSE(spec.enabled());
 }
