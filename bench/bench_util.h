@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/text.h"
 #include "src/common/time.h"
 #include "src/obs/json.h"
 
@@ -57,13 +58,7 @@ class JsonReport {
   bool Write() {
     writer_.EndArray();
     writer_.EndObject();
-    std::string json = writer_.Take();
-    std::FILE* f = std::fopen(path_.c_str(), "w");
-    if (f == nullptr) {
-      return false;
-    }
-    bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-    ok = std::fclose(f) == 0 && ok;
+    bool ok = WriteTextFile(path_, writer_.Take());
     if (ok) {
       std::printf("\n[wrote %s]\n", path_.c_str());
     }

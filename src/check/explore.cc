@@ -1,25 +1,17 @@
 #include "src/check/explore.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <map>
-#include <thread>
 
+#include "src/common/pool.h"
 #include "src/common/text.h"
 #include "src/obs/json.h"
-#include "src/obs/postmortem.h"
 
 namespace autonet {
 namespace check {
 
 namespace {
-
-double WallMsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 // --- fault grammar: "cut<c>", "crash<s>", optionally "+restore",
 // "+restart", or "+cut<c2>" ---
@@ -125,57 +117,7 @@ void ApplySecondary(Network& net, const FaultPlan& plan) {
   }
 }
 
-// Minimal thread pool over a fixed index space (the chaos runner's
-// work-stealing shape).
-template <typename Fn>
-void RunPool(std::size_t n, int jobs, Fn fn) {
-  if (n == 0) {
-    return;
-  }
-  jobs = std::max(1, std::min<int>(jobs, static_cast<int>(n)));
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (;;) {
-      std::size_t i = next.fetch_add(1);
-      if (i >= n) {
-        return;
-      }
-      fn(i);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(jobs);
-  for (int w = 0; w < jobs; ++w) {
-    pool.emplace_back(worker);
-  }
-  for (std::thread& t : pool) {
-    t.join();
-  }
-}
-
 }  // namespace
-
-TopoSpec CheckTopologyByName(const std::string& name, std::string* error) {
-  if (error != nullptr) {
-    error->clear();
-  }
-  if (name == "pair2") {
-    TopoSpec spec;
-    spec.AddSwitch("s0");
-    spec.AddSwitch("s1");
-    spec.Cable(0, 1);
-    spec.AddHost(0);
-    spec.AddHost(1);
-    return spec;
-  }
-  if (name == "line3") {
-    return MakeLine(3, 1);
-  }
-  if (name == "ring4") {
-    return MakeRing(4, 1);
-  }
-  return chaos::TopologyByName(name, error);
-}
 
 std::vector<std::string> CheckTopologyNames() {
   return {"pair2", "line3", "small3", "ring4"};
@@ -283,7 +225,8 @@ std::optional<ScheduleId> ScheduleId::FromString(const std::string& text) {
   return id;
 }
 
-ScheduleResult RunSchedule(const ExploreConfig& config, const ScheduleId& id) {
+ScheduleResult RunSchedule(const ExploreConfig& config, const ScheduleId& id,
+                           obs::PostMortem* postmortem) {
   auto t0 = std::chrono::steady_clock::now();
   ScheduleResult result;
   result.id = id.ToString();
@@ -299,7 +242,7 @@ ScheduleResult RunSchedule(const ExploreConfig& config, const ScheduleId& id) {
   };
 
   std::string error;
-  TopoSpec spec = CheckTopologyByName(id.topo, &error);
+  TopoSpec spec = chaos::TopologyByName(id.topo, &error);
   if (!error.empty()) {
     violate("setup", error);
     return finish();
@@ -317,17 +260,14 @@ ScheduleResult RunSchedule(const ExploreConfig& config, const ScheduleId& id) {
     return finish();
   }
 
-  Network net(spec, config.network);
-  net.sim().flight().Arm();
-  net.Boot();
-  int diameter = chaos::HealthyDiameter(net);
-  Tick boot_deadline =
-      config.convergence_base + config.convergence_per_hop * diameter;
-  if (!net.WaitForConsistency(boot_deadline, config.quiet)) {
-    violate("bootstrap", "no consistent boot configuration");
+  const chaos::CampaignConfig run;  // the campaign's boot and oracle numbers
+  Network net(spec, run.network);
+  std::string boot_error = chaos::BootToBaseline(net, run);
+  if (!boot_error.empty()) {
+    violate("bootstrap", boot_error);
+    chaos::ExplainRun(net, &result.violations, postmortem);
     return finish();
   }
-  net.WaitForHostsRegistered(net.sim().now() + 30 * kSecond);
 
   Simulator& sim = net.sim();
   Tick t_fault = sim.now() + 50 * kMillisecond;
@@ -364,35 +304,13 @@ ScheduleResult RunSchedule(const ExploreConfig& config, const ScheduleId& id) {
   sim.ScheduleAt(t_end, [&] { sim.SetTieChooser(nullptr); });
   net.Run(t_end - sim.now() + kMillisecond);
 
-  chaos::OracleContext ctx;
-  ctx.net = &net;
-  ctx.quiet = config.quiet;
-  ctx.deadline = sim.now() + config.convergence_base +
-                 config.convergence_per_hop * chaos::HealthyDiameter(net);
-  for (const auto& oracle : chaos::StandardOracles()) {
-    std::string detail = oracle->Check(ctx);
-    if (!detail.empty()) {
-      violate(oracle->name(), detail);
-    }
-  }
+  chaos::JudgeRun(net, run, violate);
 
   result.decision_points = rec.count;
   result.dropped_decisions = rec.dropped;
   result.branch_factors = std::move(rec.branch);
   result.log_hash = HashLog(net.MergedLog());
-  if (config.capture_postmortem || !result.violations.empty()) {
-    obs::PostMortem pm = obs::PostMortem::Build(net.sim().flight());
-    std::string timeline = pm.RenderText();
-    std::string blame =
-        pm.epochs().empty() ? "" : pm.epochs().back().BlameChain();
-    for (chaos::Violation& v : result.violations) {
-      v.blame = blame;
-      v.timeline = timeline;
-    }
-    if (config.capture_postmortem) {
-      result.postmortem = std::move(timeline);
-    }
-  }
+  chaos::ExplainRun(net, &result.violations, postmortem);
   return finish();
 }
 
@@ -402,7 +320,7 @@ ExploreReport Explore(const ExploreConfig& config) {
   report.topo = config.topo;
 
   std::string error;
-  TopoSpec spec = CheckTopologyByName(config.topo, &error);
+  TopoSpec spec = chaos::TopologyByName(config.topo, &error);
   if (!error.empty()) {
     ScheduleResult bad;
     bad.id = config.topo;
@@ -415,10 +333,7 @@ ExploreReport Explore(const ExploreConfig& config) {
 
   const std::vector<Tick>& offsets =
       config.offsets.empty() ? DefaultOffsets() : config.offsets;
-  int jobs = config.jobs > 0
-                 ? config.jobs
-                 : static_cast<int>(std::thread::hardware_concurrency());
-  jobs = std::max(1, jobs);
+  const int jobs = ResolveJobs(config.jobs);
   report.jobs = jobs;
 
   // Phase 1: baselines.  Offsets only matter to two-part faults (the offset
@@ -443,7 +358,7 @@ ExploreReport Explore(const ExploreConfig& config) {
   report.baselines = static_cast<int>(baselines.size());
 
   std::vector<ScheduleResult> base_results(baselines.size());
-  RunPool(baselines.size(), jobs, [&](std::size_t i) {
+  ForEachIndex(baselines.size(), jobs, [&](std::size_t i, int) {
     base_results[i] = RunSchedule(config, baselines[i]);
   });
 
@@ -471,7 +386,7 @@ ExploreReport Explore(const ExploreConfig& config) {
       report.deviations_possible - deviations.size();
 
   std::vector<ScheduleResult> dev_results(deviations.size());
-  RunPool(deviations.size(), jobs, [&](std::size_t i) {
+  ForEachIndex(deviations.size(), jobs, [&](std::size_t i, int) {
     dev_results[i] = RunSchedule(config, deviations[i]);
   });
   // Deviation runs hit max_decision_points too; without this the report
