@@ -450,16 +450,22 @@ int Engine::FindRootSwitch() const {
 }
 
 obs::ReconfigPhase Engine::PhaseOf(int sw) const {
-  if (!net_->autopilot_at(sw).reconfig_in_progress()) {
-    return obs::ReconfigPhase::kMonitor;
-  }
   const obs::FlightRing* ring =
       net_->sim().flight().Find(net_->switch_at(sw).name());
   const obs::FlightEvent* last = ring != nullptr ? ring->Last() : nullptr;
+  // Distribute clears in_progress before the full table is computed and
+  // loaded, so a switch whose newest event queued that computation is
+  // installing whatever the engine reports.
+  if (last != nullptr && last->kind == obs::FlightEventKind::kConfigCompute) {
+    return obs::ReconfigPhase::kInstall;
+  }
+  if (!net_->autopilot_at(sw).reconfig_in_progress()) {
+    return obs::ReconfigPhase::kMonitor;
+  }
   if (last == nullptr) {
     return obs::ReconfigPhase::kTree;
   }
-  return obs::PhaseAfter(last->kind).value_or(obs::ReconfigPhase::kTree);
+  return obs::PhaseAfter(*last).value_or(obs::ReconfigPhase::kTree);
 }
 
 std::vector<int> Engine::AliveSwitches() const {

@@ -90,9 +90,11 @@ class Engine {
   bool StableNow() const;
   // Index of the switch that believes itself root (-1 if none/dead).
   int FindRootSwitch() const;
-  // The reconfiguration phase `sw` is in: monitor when no reconfiguration
-  // is in progress, else obs::PhaseAfter of its flight ring's newest event
-  // (tree for an event that names no phase).
+  // The reconfiguration phase `sw` is in: install while its newest flight
+  // event is the queued route computation (the engine no longer reports a
+  // reconfiguration in progress by then), else monitor when no
+  // reconfiguration is in progress, else obs::PhaseAfter of that newest
+  // event (tree for an event that names no phase).
   obs::ReconfigPhase PhaseOf(int sw) const;
   std::vector<int> AliveSwitches() const;
   // Spec cable indices adjacent to `sw`, uncut, with both endpoints alive.

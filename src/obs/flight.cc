@@ -57,8 +57,8 @@ bool ParsePhase(std::string_view name, ReconfigPhase* out) {
   return false;
 }
 
-std::optional<ReconfigPhase> PhaseAfter(FlightEventKind kind) {
-  switch (kind) {
+std::optional<ReconfigPhase> PhaseAfter(const FlightEvent& ev) {
+  switch (ev.kind) {
     case FlightEventKind::kEpochJoin:
       return ReconfigPhase::kTree;
     case FlightEventKind::kReportSend:
@@ -68,8 +68,9 @@ std::optional<ReconfigPhase> PhaseAfter(FlightEventKind kind) {
     case FlightEventKind::kConfigRecv:
       return ReconfigPhase::kCompute;
     case FlightEventKind::kConfigCompute:
-    case FlightEventKind::kRouteInstall:
       return ReconfigPhase::kInstall;
+    case FlightEventKind::kRouteInstall:
+      return ev.a != 0 ? ReconfigPhase::kInstall : ReconfigPhase::kTree;
     default:
       return std::nullopt;
   }

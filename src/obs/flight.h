@@ -88,13 +88,6 @@ const char* PhaseName(ReconfigPhase phase);
 // Reads a PhaseName token; false for anything else.
 bool ParsePhase(std::string_view name, ReconfigPhase* out);
 
-// The phase a switch is in once its ring has recorded an event of `kind`:
-// epoch-join starts the tree phase, a report sent or received the fan-in,
-// root termination or a received configuration the computation, and the
-// queued route computation and a table load the installation.  Other kinds
-// do not move a switch between phases (nullopt).
-std::optional<ReconfigPhase> PhaseAfter(FlightEventKind kind);
-
 struct FlightEvent {
   Tick time = 0;
   std::uint64_t epoch = 0;
@@ -109,6 +102,14 @@ struct FlightEvent {
   const char* from = "";
   const char* to = "";
 };
+
+// The phase a switch is in once its ring has recorded `ev`: epoch-join
+// starts the tree phase, a report sent or received the fan-in, root
+// termination or a received configuration the computation, and the queued
+// route computation and the full table load the installation.  The one-hop
+// bootstrap table JoinEpoch loads (route-install with a=0) is part of the
+// tree phase.  Other kinds do not move a switch between phases (nullopt).
+std::optional<ReconfigPhase> PhaseAfter(const FlightEvent& ev);
 
 class FlightRecorder;
 

@@ -61,7 +61,7 @@ void AddSwitchWaves(const EpochTimeline& tl, const std::string& epoch_name,
         }
         continue;
       }
-      std::optional<ReconfigPhase> next = PhaseAfter(ev.kind);
+      std::optional<ReconfigPhase> next = PhaseAfter(ev);
       if (next.has_value() && *next > phases.back().first) {
         phases.emplace_back(*next, ev.time);
       }

@@ -4,7 +4,9 @@
 // after register damage).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
@@ -17,6 +19,7 @@
 #include "src/chaos/runner.h"
 #include "src/chaos/scenario.h"
 #include "src/core/network.h"
+#include "src/obs/postmortem.h"
 #include "src/topo/spec.h"
 
 namespace autonet {
@@ -233,6 +236,71 @@ TEST(AdversaryRun, ReproducerCarriesCampaignAdversary) {
   TopologyCase topo = Small3();
   RunResult r = RunOne(config, s, topo, /*seed=*/2);
   EXPECT_EQ(r.adversary, config.adversary.ToText());
+}
+
+// An install snipe cuts while its victim is installing the configuration:
+// after the switch queued the route computation (config-compute) and before
+// its full table load (route-install a=1).  The engine clears in_progress
+// before that window opens, and the one-hop bootstrap load JoinEpoch queues
+// in the tree phase is not an install.
+TEST(AdversaryRun, InstallSnipeCutsBetweenComputeAndFullTableLoad) {
+  Scenario snipe;
+  for (const Scenario& s : chaos::AdversaryCorpus()) {
+    if (s.name == "adv-phase-snipe-install") {
+      snipe = s;
+    }
+  }
+  ASSERT_TRUE(snipe.adversary.enabled());
+  CampaignConfig config;
+  TopologyCase topo = Small3();
+  for (std::uint64_t seed : {0, 1}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    obs::PostMortem pm;
+    RunResult r = RunOne(config, snipe, topo, seed, nullptr, &pm);
+    EXPECT_TRUE(r.ok) << (r.violations.empty() ? "" : r.violations[0].detail);
+    std::vector<obs::PostMortemEvent> events;
+    for (const obs::EpochTimeline& tl : pm.epochs()) {
+      events.insert(events.end(), tl.events.begin(), tl.events.end());
+    }
+    std::stable_sort(events.begin(), events.end(),
+                     [](const obs::PostMortemEvent& a,
+                        const obs::PostMortemEvent& b) {
+                       return a.ev.time < b.ev.time;
+                     });
+    int snipes = 0;
+    for (const obs::PostMortemEvent& cut : events) {
+      if (cut.ev.kind != obs::FlightEventKind::kAdversary ||
+          std::strcmp(cut.ev.detail, "phase-snipe") != 0) {
+        continue;
+      }
+      ++snipes;
+      const Tick t = cut.ev.time;
+      Tick compute = -1;
+      for (const obs::PostMortemEvent& pe : events) {
+        if (pe.node == cut.node && pe.ev.time <= t &&
+            pe.ev.kind == obs::FlightEventKind::kConfigCompute) {
+          compute = pe.ev.time;
+        }
+      }
+      ASSERT_GE(compute, 0) << "no config-compute at " << cut.node
+                            << " before the cut at " << t;
+      Tick load = -1;
+      for (const obs::PostMortemEvent& pe : events) {
+        if (pe.node == cut.node && pe.ev.time >= compute &&
+            pe.ev.kind == obs::FlightEventKind::kRouteInstall &&
+            pe.ev.a != 0) {
+          load = pe.ev.time;
+          break;
+        }
+      }
+      ASSERT_GE(load, 0) << "no full table load at " << cut.node;
+      EXPECT_LE(compute, t);
+      EXPECT_LT(t, load) << cut.node << " loaded its table at " << load
+                         << ", before the cut at " << t;
+    }
+    EXPECT_EQ(snipes, r.adversary_moves);
+    EXPECT_GT(snipes, 0);
+  }
 }
 
 // --- corrupted-state recovery (the hardening the adversary forced) ---------
