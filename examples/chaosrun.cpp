@@ -23,7 +23,6 @@
 //   chaosrun --list / --dump-corpus   inspect what would run
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -180,15 +179,13 @@ int main(int argc, char** argv) {
       scenarios.insert(scenarios.end(), adv.begin(), adv.end());
     }
   } else {
-    std::ifstream in(corpus_file);
-    if (!in) {
+    std::string text;
+    std::string error;
+    if (!ReadTextFile(corpus_file, &text)) {
       std::fprintf(stderr, "cannot read %s\n", corpus_file.c_str());
       return 2;
     }
-    std::ostringstream text;
-    text << in.rdbuf();
-    std::string error;
-    scenarios = ParseScenarios(text.str(), &error);
+    scenarios = ParseScenarios(text, &error);
     if (scenarios.empty()) {
       std::fprintf(stderr, "%s: %s\n", corpus_file.c_str(), error.c_str());
       return 2;

@@ -150,6 +150,20 @@ std::string HexU64(std::uint64_t v) {
   return buf;
 }
 
+bool ReadTextFile(const std::string& path, std::string* text) {
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  if (f == nullptr) {
+    return false;
+  }
+  text->clear();
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;) {
+    text->append(buf, n);
+  }
+  bool ok = std::ferror(f) == 0;
+  return std::fclose(f) == 0 && ok;
+}
+
 bool WriteTextFile(const std::string& path, std::string_view text) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
