@@ -25,42 +25,31 @@ struct FaultPlan {
   int secondary_idx = 0;
 };
 
-bool ParseIndex(const std::string& s, std::size_t pos, int* out) {
-  if (pos >= s.size()) {
-    return false;
-  }
-  int v = 0;
-  for (std::size_t i = pos; i < s.size(); ++i) {
-    if (s[i] < '0' || s[i] > '9') {
-      return false;
-    }
-    v = v * 10 + (s[i] - '0');
-    if (v > 1000000) {
-      return false;
-    }
-  }
-  *out = v;
-  return true;
-}
-
 bool ParseFault(const std::string& text, const TopoSpec& spec,
                 FaultPlan* plan, std::string* error) {
   auto fail = [&](const std::string& what) {
     *error = "bad fault '" + text + "': " + what;
     return false;
   };
+  // The index after `prefix` letters of `part`, below `size` and spelled
+  // as FaultMatrix spells it (so "cut01" does not name cut1 a second way).
+  auto index = [](const std::string& part, std::size_t prefix,
+                  std::size_t size, int* out) {
+    std::string_view digits = std::string_view(part).substr(prefix);
+    return ParseInt(digits, out) && *out >= 0 &&
+           static_cast<std::size_t>(*out) < size &&
+           std::to_string(*out) == digits;
+  };
   std::size_t plus = text.find('+');
   std::string primary = text.substr(0, plus);
   if (primary.rfind("cut", 0) == 0) {
     plan->primary = FaultPlan::Primary::kCut;
-    if (!ParseIndex(primary, 3, &plan->primary_idx) ||
-        plan->primary_idx >= static_cast<int>(spec.cables.size())) {
+    if (!index(primary, 3, spec.cables.size(), &plan->primary_idx)) {
       return fail("cable index out of range");
     }
   } else if (primary.rfind("crash", 0) == 0) {
     plan->primary = FaultPlan::Primary::kCrash;
-    if (!ParseIndex(primary, 5, &plan->primary_idx) ||
-        plan->primary_idx >= static_cast<int>(spec.switches.size())) {
+    if (!index(primary, 5, spec.switches.size(), &plan->primary_idx)) {
       return fail("switch index out of range");
     }
   } else {
@@ -83,8 +72,7 @@ bool ParseFault(const std::string& text, const TopoSpec& spec,
     plan->secondary = FaultPlan::Secondary::kRestart;
   } else if (secondary.rfind("cut", 0) == 0) {
     plan->secondary = FaultPlan::Secondary::kCut2;
-    if (!ParseIndex(secondary, 3, &plan->secondary_idx) ||
-        plan->secondary_idx >= static_cast<int>(spec.cables.size())) {
+    if (!index(secondary, 3, spec.cables.size(), &plan->secondary_idx)) {
       return fail("second cable index out of range");
     }
   } else {
@@ -193,17 +181,15 @@ std::optional<ScheduleId> ScheduleId::FromString(const std::string& text) {
   id.fault = text.substr(p1 + 1, p2 - p1 - 1);
   std::string off = text.substr(p2 + 1, p3 - p2 - 1);
   if (off.size() < 2 || off[0] != 'o' ||
-      !ParseIndex(off, 1, &id.offset_index)) {
+      !ParseInt(std::string_view(off).substr(1), &id.offset_index) ||
+      id.offset_index < 0) {
     return std::nullopt;
   }
   std::string devs = text.substr(p3 + 1);
   if (id.topo.empty() || id.fault.empty() || devs.empty()) {
     return std::nullopt;
   }
-  if (devs == "-") {
-    return id;
-  }
-  std::size_t pos = 0;
+  std::size_t pos = devs == "-" ? devs.size() : 0;
   while (pos < devs.size()) {
     std::size_t plus = devs.find('+', pos);
     std::string one = devs.substr(pos, plus == std::string::npos
@@ -215,12 +201,17 @@ std::optional<ScheduleId> ScheduleId::FromString(const std::string& text) {
     }
     int idx = 0;
     int choice = 0;
-    if (!ParseIndex(one.substr(0, dot), 1, &idx) ||
-        !ParseIndex(one, dot + 1, &choice) || choice < 1) {
+    if (!ParseInt(std::string_view(one).substr(1, dot - 1), &idx) ||
+        !ParseInt(std::string_view(one).substr(dot + 1), &choice) || idx < 0 ||
+        choice < 1) {
       return std::nullopt;
     }
     id.deviations.emplace_back(idx, static_cast<std::uint32_t>(choice));
     pos = plus == std::string::npos ? devs.size() : plus + 1;
+  }
+  // One spelling per schedule: "o007" or "d01.1" would read as o7 or d1.1.
+  if (id.ToString() != text) {
+    return std::nullopt;
   }
   return id;
 }

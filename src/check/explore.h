@@ -60,6 +60,8 @@ struct ScheduleId {
 
   // `topo:fault:o<idx>:<devs>` with devs `-` or `d<i>.<c>+d<i>.<c>`.
   std::string ToString() const;
+  // Reads only what ToString prints: an id that would print back
+  // differently (`o007`, `d-1.1`, an index beyond int) is rejected.
   static std::optional<ScheduleId> FromString(const std::string& text);
 };
 

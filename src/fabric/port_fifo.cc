@@ -384,11 +384,14 @@ void PortFifo::Walk(WalkState& w, Tick limit, bool inclusive,
 // Advances the walk over a stretch where every symbol does the same thing,
 // in O(1): arrivals into a FIFO nobody drains, a drain emptying a backlog
 // while nothing arrives, or a drain keeping pace behind a packet that is
-// still arriving (cut-through).  Each stretch stops short of anything an
-// observer or the per-symbol rules would treat differently — a half-full
-// transition, a lost byte, an underflow, capture-readiness, the end of the
-// arrival run — which the symbol-by-symbol walk then handles.  Returns
-// false if no stretch applies.
+// still arriving (cut-through).  Each stretch stops short of anything the
+// per-symbol rules or an observer would treat differently — a lost byte, an
+// underflow, capture-readiness, the end of the arrival run, and a half-full
+// transition while Look() still watches for the first one — which the
+// symbol-by-symbol walk then handles.  Unwatched transitions (Settle, or
+// Look() after its first flip) are crossed: only the stretch's end state
+// matters, and the flow-control state there follows from the occupancy.
+// Returns false if no stretch applies.
 bool PortFifo::Skip(WalkState& w, Tick limit, bool inclusive,
                     Observer* obs) const {
   const std::size_t half_line = capacity_ / 2;
@@ -403,12 +406,22 @@ bool PortFifo::Skip(WalkState& w, Tick limit, bool inclusive,
     run = RunHolding(*span, tail.next);
   }
   const std::int64_t step_index = DataSlotsBefore(d.next);
+  const bool watch_flip = obs != nullptr && obs->out.flip.at == kNever;
+  const bool was_below = w.occupancy <= half_line;
+  // The flow-control state at a stretch's end: a pop re-derives it, and an
+  // arrival raises it only when crossing the line, so after any pop (or an
+  // upward crossing) it is the final occupancy's; otherwise unchanged.
+  auto settle_half = [&](bool popped) {
+    if (popped || (was_below && w.occupancy > half_line)) {
+      w.half = w.occupancy > half_line;
+    }
+  };
 
   if (run != nullptr && !stepping && !(d.active && d.waiting && !d.done)) {
     // Arrivals only: occupancy climbs one per byte.
     std::int64_t n = ArrivedBy(*run, span->delay, limit, inclusive);
     n -= tail.next;
-    if (w.occupancy <= half_line) {
+    if (watch_flip && was_below) {
       n = std::min<std::int64_t>(n, half_line - w.occupancy);
     }
     n = std::min<std::int64_t>(
@@ -425,6 +438,7 @@ bool PortFifo::Skip(WalkState& w, Tick limit, bool inclusive,
     tail.next = k;
     tail.entered += static_cast<std::uint32_t>(n);
     w.occupancy += static_cast<std::size_t>(n);
+    settle_half(false);
     w.max_occupancy = std::max(w.max_occupancy, w.occupancy);
     w.arrival_hwm = std::max(w.arrival_hwm, w.occupancy);
     return true;
@@ -432,7 +446,13 @@ bool PortFifo::Skip(WalkState& w, Tick limit, bool inclusive,
   if (!stepping || head.entered <= head.consumed) {
     return false;
   }
-  Tick ta = run != nullptr ? run->SlotOf(tail.next) + span->delay : kNever;
+  // The next arrival: a byte, or else the end mark.
+  Tick ta = kNever;
+  if (run != nullptr) {
+    ta = run->SlotOf(tail.next) + span->delay;
+  } else if (w.receiving && span != nullptr && span->ended) {
+    ta = span->end_at + span->delay;
+  }
 
   if (run != nullptr && span->delay % kSlotNs != 0 && d.next < ta) {
     // The drain keeps pace with arrivals: either it pops the same arrival
@@ -487,7 +507,8 @@ bool PortFifo::Skip(WalkState& w, Tick limit, bool inclusive,
     std::int64_t trough = base - q - 2;  // lowest after any pop
     const auto line = static_cast<std::int64_t>(half_line);
     if (peak > static_cast<std::int64_t>(capacity_) ||
-        (!w.half && peak > line) || (w.half && trough <= line)) {
+        (watch_flip &&
+         ((!w.half && peak > line) || (w.half && trough <= line)))) {
       return false;
     }
     Tick t_last = run->SlotOf(stop - 1) + delay;
@@ -506,6 +527,7 @@ bool PortFifo::Skip(WalkState& w, Tick limit, bool inclusive,
     }
     w.occupancy = static_cast<std::size_t>(
         static_cast<std::int64_t>(w.occupancy) + n_arrive - n_step);
+    settle_half(n_step > 0);
     w.max_occupancy = std::max<std::size_t>(w.max_occupancy, peak);
     w.arrival_hwm = std::max<std::size_t>(w.arrival_hwm, peak);
     return true;
@@ -517,10 +539,12 @@ bool PortFifo::Skip(WalkState& w, Tick limit, bool inclusive,
   n = std::min<std::int64_t>(n, head.entered - head.consumed);
   const auto occ = static_cast<std::int64_t>(w.occupancy);
   const auto line = static_cast<std::int64_t>(half_line);
-  if (w.half) {
-    n = std::min(n, occ - line - 1);  // the pop reaching the line flips
-  } else if (occ > line + 1) {
-    return false;  // the next pop would raise the flow-control state
+  if (watch_flip) {
+    if (w.half) {
+      n = std::min(n, occ - line - 1);  // the pop reaching the line flips
+    } else if (occ > line + 1) {
+      return false;  // the next pop would raise the flow-control state
+    }
   }
   if (obs != nullptr && obs->stage_need != 0 && obs->out.stage.at == kNever) {
     n = std::min<std::int64_t>(
@@ -536,6 +560,7 @@ bool PortFifo::Skip(WalkState& w, Tick limit, bool inclusive,
   head.consumed += count;
   w.popped += count;
   w.occupancy -= count;
+  settle_half(true);
   d.next = DataSlotStart(step_index + n);
   d.chain = DataSlotStart(step_index + n - 1);
   return true;

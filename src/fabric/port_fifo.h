@@ -17,6 +17,13 @@
 // planned byte pops, which are the forwarder's transmit plan.  Plans are
 // only ever revised in the future, so settled counts never change.
 //
+// The walk jumps in O(1) over stretches where every symbol does the same
+// thing (Skip).  A stretch crosses the half-full line wherever no one
+// watches the transitions: in Settle, and in Look() once it has found the
+// first flip.  The rules below give the state at the stretch's end from
+// its occupancy, so a saturated stream held at the line costs O(1) per
+// stretch, not one step per symbol.
+//
 // The per-symbol rules are those of the hardware model: an arriving byte
 // when the FIFO is full is lost (and destroys its packet); the drain pops
 // a byte if one is buffered, else the end mark if it has arrived, else it

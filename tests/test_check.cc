@@ -152,6 +152,37 @@ TEST(ScheduleIds, FromStringRejectsMalformedIds) {
   EXPECT_FALSE(ScheduleId::FromString("a:b:o0:-:extra").has_value());
 }
 
+TEST(ScheduleIds, FromStringAcceptsOnlyIdsThatPrintBackTheSame) {
+  for (const char* text :
+       {"small3:cut0:o7:-", "small3:cut0:o2147483647:d0.1",
+        "small3:crash1+restart:o0:d3.2+d12.1"}) {
+    auto id = ScheduleId::FromString(text);
+    ASSERT_TRUE(id.has_value()) << text;
+    EXPECT_EQ(id->ToString(), text);
+  }
+  for (const char* text :
+       {"small3:cut0:o007:-", "small3:cut0:o+7:-", "small3:cut0:o-1:-",
+        "small3:cut0:o-0:-", "small3:cut0:o2147483648:-",
+        "small3:cut0:o99999999999:-", "small3:cut0:o3:d01.1",
+        "small3:cut0:o3:d1.01", "small3:cut0:o3:d-1.1",
+        "small3:cut0:o3:d1.2147483648", "small3:cut0:o3:d1.1+",
+        "small3:cut0:o3:d1.1+d2"}) {
+    EXPECT_FALSE(ScheduleId::FromString(text).has_value()) << text;
+  }
+  // An id that parses may still name no schedule: the offset and the fault
+  // indices (in FaultMatrix's spelling) are checked when it runs.
+  for (const char* text :
+       {"small3:cut0:o2000000:-", "small3:cut-1:o0:-", "small3:cut01:o0:-",
+        "small3:cut99:o0:-", "small3:crash0+cut-1:o0:-"}) {
+    auto id = ScheduleId::FromString(text);
+    ASSERT_TRUE(id.has_value()) << text;
+    ScheduleResult result = RunSchedule(ExploreConfig{}, *id);
+    EXPECT_FALSE(result.ok) << text;
+    ASSERT_EQ(result.violations.size(), 1u) << text;
+    EXPECT_EQ(result.violations[0].oracle, "setup") << text;
+  }
+}
+
 TEST(ScheduleIds, FaultMatrixCoversCablesAndSwitches) {
   std::string error;
   TopoSpec spec = chaos::TopologyByName("small3", &error);

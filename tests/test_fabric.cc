@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <memory>
 #include <optional>
+#include <ostream>
+#include <random>
+#include <sstream>
+#include <utility>
 #include <vector>
 
 #include "src/fabric/port_fifo.h"
@@ -202,6 +209,493 @@ TEST(PortFifo, CutOnAByteArrivalTickTruncatesBeforeThatByte) {
   EXPECT_EQ(stray_from, 5u);
   EXPECT_TRUE(fifo.head().truncated);
   EXPECT_EQ(fifo.occupancy(), 6u);  // five bytes and the end mark
+}
+
+// --- the FIFO against a per-symbol model ---
+
+// The FIFO rules of port_fifo.h applied one arrival or drain step at a
+// time, with no stretches: what PortFifo's O(1) stretches must reproduce.
+// Holds one or two records; the last one arrives on `span_`.
+class SymbolFifo {
+ public:
+  struct Rec {
+    std::uint32_t entered = 0;
+    std::uint32_t consumed = 0;
+    bool end = false;
+  };
+  // The first instants of each kind Look() reports, and every planned pop
+  // as (offset, data index).
+  struct Seen {
+    PortFifo::Moment flip, ready, done;
+    std::vector<std::pair<std::uint32_t, std::int64_t>> pops;
+  };
+
+  explicit SymbolFifo(std::size_t capacity) : capacity_(capacity) {}
+
+  void PushBegin(SpanRef span) {
+    recs.push_back(Rec{});
+    next_ = span->first;
+    span_ = std::move(span);
+    receiving = true;
+  }
+  void StartDrain(Tick first, Tick chain, const Simulator::StepKey& key) {
+    drain_ = Drain{true, false, false, false, first, chain, key};
+  }
+  void HoldDrain() { drain_.held = true; }
+  void ResumeDrain(Tick next, Tick chain) {
+    drain_.held = false;
+    drain_.waiting = false;
+    drain_.next = next;
+    drain_.chain = chain;
+    drain_.key = SteppingFrom(chain, next, kLast);
+  }
+  void TakeDoneHead() {
+    recs.erase(recs.begin());
+    drain_ = Drain{};
+  }
+  bool done() const { return drain_.active && drain_.done; }
+
+  void Settle(Tick t, bool inclusive) { Run(t, inclusive, false, nullptr); }
+  Seen Look(bool want_ready) const {
+    SymbolFifo copy = *this;
+    Seen seen;
+    copy.Run(PortFifo::kNever, true, want_ready, &seen);
+    return seen;
+  }
+
+  std::size_t occupancy = 0;
+  bool half = false;
+  bool receiving = false;
+  std::size_t max_occupancy = 0;
+  std::size_t arrival_hwm = 0;
+  std::uint64_t popped = 0;
+  std::uint64_t underflows = 0;
+  std::uint64_t overflows = 0;
+  std::vector<Rec> recs;
+
+ private:
+  static constexpr std::uint64_t kLast =
+      std::numeric_limits<std::uint64_t>::max();
+  struct Drain {
+    bool active = false;
+    bool held = false;
+    bool waiting = false;
+    bool done = false;
+    Tick next = 0;
+    Tick chain = 0;
+    Simulator::StepKey key;
+  };
+
+  static void Note(PortFifo::Moment* m, Tick at, Tick anchor,
+                   const Simulator::StepKey& key) {
+    if (m->at == PortFifo::kNever) {
+      *m = PortFifo::Moment{at, anchor, key};
+    }
+  }
+
+  void Run(Tick limit, bool inclusive, bool want_ready, Seen* seen) {
+    while (!recs.empty()) {
+      Tick ta = PortFifo::kNever;
+      bool end = false;
+      if (receiving && next_ < span_->planned()) {
+        ta = span_->ArrivalOf(next_);
+      } else if (receiving && span_->ended) {
+        ta = span_->end_at + span_->delay;
+        end = true;
+      }
+      Tick ts = PortFifo::kNever;
+      if (drain_.active && !drain_.held && !drain_.waiting && !drain_.done) {
+        ts = drain_.next;
+      }
+      Tick t = std::min(ta, ts);
+      if (t == PortFifo::kNever || t > limit || (t == limit && !inclusive)) {
+        return;
+      }
+      if (ta < ts || (ta == ts && ta - span_->delay <= drain_.chain)) {
+        Arrive(t, end, want_ready, seen);
+      } else {
+        Step(t, seen);
+      }
+    }
+  }
+
+  void Arrive(Tick t, bool end, bool want_ready, Seen* seen) {
+    Rec& tail = recs.back();
+    const Tick sent = t - span_->delay;
+    if (end) {
+      tail.end = true;
+      receiving = false;
+      ++occupancy;
+    } else {
+      const Simulator::StepKey key = RunOf(next_).stepping;
+      ++next_;
+      if (occupancy >= capacity_) {  // an end mark may overfill it
+        ++overflows;
+      } else {
+        ++tail.entered;
+        // Only an arrival crossing the line raises the state.
+        if (occupancy++ == capacity_ / 2 && !half) {
+          half = true;
+          if (seen != nullptr) {
+            Note(&seen->flip, t, sent, key);
+          }
+        }
+      }
+      if (seen != nullptr && want_ready && recs.size() == 1 &&
+          tail.consumed == 0 && tail.entered >= 2) {
+        Note(&seen->ready, t, sent, key);
+      }
+    }
+    max_occupancy = std::max(max_occupancy, occupancy);
+    arrival_hwm = std::max(arrival_hwm, occupancy);
+    if (drain_.active && drain_.waiting && !drain_.done) {
+      drain_.waiting = false;
+      drain_.next = NextDataSlotAfter(t);
+      drain_.chain = t;
+      drain_.key = SteppingFrom(t, drain_.next, kLast);
+    }
+  }
+
+  void Step(Tick t, Seen* seen) {
+    Rec& head = recs.front();
+    bool end = false;
+    if (head.entered > head.consumed) {
+      if (seen != nullptr) {
+        seen->pops.emplace_back(head.consumed, DataSlotsBefore(t));
+      }
+      ++head.consumed;
+      ++popped;
+    } else if (head.end) {
+      end = true;
+    } else {
+      ++underflows;
+      drain_.waiting = true;
+      return;
+    }
+    --occupancy;
+    // Every pop re-derives the state.
+    if ((occupancy > capacity_ / 2) != half) {
+      half = !half;
+      if (seen != nullptr) {
+        Note(&seen->flip, t, drain_.chain, drain_.key);
+      }
+    }
+    if (end) {
+      drain_.done = true;
+      if (seen != nullptr) {
+        Note(&seen->done, t, drain_.chain, drain_.key);
+      }
+      return;
+    }
+    drain_.chain = t;
+    drain_.next = NextDataSlotAfter(t);
+  }
+
+  const ByteRun& RunOf(std::uint32_t k) const {
+    for (const ByteRun& run : span_->runs) {
+      if (k < run.end()) {
+        return run;
+      }
+    }
+    return span_->runs.back();
+  }
+
+  std::size_t capacity_;
+  SpanRef span_;
+  std::uint32_t next_ = 0;
+  Drain drain_;
+};
+
+// The state both models expose, for comparison.
+struct FifoState {
+  std::size_t occupancy = 0;
+  bool half = false;
+  bool receiving = false;
+  bool done = false;
+  std::size_t max_occupancy = 0;
+  std::size_t arrival_hwm = 0;
+  std::uint64_t popped = 0;
+  std::uint64_t underflows = 0;
+  std::uint64_t overflows = 0;
+  std::vector<SymbolFifo::Rec> recs;
+
+  bool operator==(const FifoState& o) const {
+    auto same = [](const SymbolFifo::Rec& a, const SymbolFifo::Rec& b) {
+      return a.entered == b.entered && a.consumed == b.consumed &&
+             a.end == b.end;
+    };
+    return occupancy == o.occupancy && half == o.half &&
+           receiving == o.receiving && done == o.done &&
+           max_occupancy == o.max_occupancy &&
+           arrival_hwm == o.arrival_hwm && popped == o.popped &&
+           underflows == o.underflows && overflows == o.overflows &&
+           std::equal(recs.begin(), recs.end(), o.recs.begin(), o.recs.end(),
+                      same);
+  }
+  friend std::ostream& operator<<(std::ostream& os, const FifoState& s) {
+    os << "occupancy " << s.occupancy << " half " << s.half << " receiving "
+       << s.receiving << " done " << s.done << " max " << s.max_occupancy
+       << " hwm " << s.arrival_hwm << " popped " << s.popped << " underflows "
+       << s.underflows << " overflows " << s.overflows << " records";
+    for (const SymbolFifo::Rec& r : s.recs) {
+      os << " [" << r.entered << " in, " << r.consumed << " out"
+         << (r.end ? ", end" : "") << "]";
+    }
+    return os;
+  }
+};
+
+FifoState StateOf(const PortFifo& f) {
+  FifoState s{f.occupancy(),     f.flow_half(),      f.receiving(),
+              f.drain_done(),    f.max_occupancy(),  f.arrival_hwm(),
+              f.popped_total(),  f.underflow_total(), f.overflow_count(),
+              {}};
+  auto rec = [](const PortFifo::PacketRecord& r) {
+    return SymbolFifo::Rec{r.bytes_entered, r.bytes_consumed, r.end_in_fifo};
+  };
+  if (f.HasHead()) {
+    s.recs.push_back(rec(f.head()));
+    if (&f.head() != &f.incoming_record()) {
+      s.recs.push_back(rec(f.incoming_record()));
+    }
+  }
+  return s;
+}
+
+FifoState StateOf(const SymbolFifo& f) {
+  return FifoState{f.occupancy,     f.half,       f.receiving,
+                   f.done(),        f.max_occupancy, f.arrival_hwm,
+                   f.popped,        f.underflows, f.overflows,
+                   f.recs};
+}
+
+// Look()'s findings, with the pop plan spelled out byte by byte.
+struct LookState {
+  PortFifo::Moment flip, ready, done;
+  std::vector<std::pair<std::uint32_t, std::int64_t>> pops;
+
+  bool operator==(const LookState& o) const {
+    return flip == o.flip && ready == o.ready && done == o.done &&
+           pops == o.pops;
+  }
+  friend std::ostream& operator<<(std::ostream& os, const LookState& l) {
+    auto moment = [&](const char* name, const PortFifo::Moment& m) {
+      os << name << " " << m.at << " (anchor " << m.anchor << ", key "
+         << m.stepping.first << "/" << m.stepping.set_at << "/"
+         << m.stepping.order << ") ";
+    };
+    moment("flip", l.flip);
+    moment("ready", l.ready);
+    moment("done", l.done);
+    os << l.pops.size() << " pops";
+    if (!l.pops.empty()) {
+      os << " from " << l.pops.front().first << "@" << l.pops.front().second
+         << " to " << l.pops.back().first << "@" << l.pops.back().second;
+    }
+    return os;
+  }
+};
+
+LookState LookOf(const PortFifo::Outlook& o) {
+  LookState l{o.flip, o.ready, o.done, {}};
+  for (const ByteRun& run : o.pops) {
+    for (std::uint32_t i = 0; i < run.count; ++i) {
+      l.pops.emplace_back(run.offset + i, run.index + i);
+    }
+  }
+  return l;
+}
+
+LookState LookOf(const SymbolFifo::Seen& s) {
+  return LookState{s.flip, s.ready, s.done, s.pops};
+}
+
+// Drives PortFifo, a PortFifo settled at every data slot, and the symbol
+// model with the same random inputs.  Each packet arrives in runs whose
+// gaps stand for the sender's flow stops; the drain starts near the
+// half-full line (or at random), is held and resumed, and takes each packet
+// once its end mark is popped.  Returns the number of checkpoints visited.
+int CompareWithSymbolModel(std::mt19937_64& rng, std::size_t capacity,
+                           Tick delay, int packets) {
+  auto uniform = [&](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  auto chance = [&](int percent) { return uniform(1, 100) <= percent; };
+  const auto line = static_cast<std::int64_t>(capacity / 2);
+  // A packet's runs from data index `first` on.  Most end; the others stop
+  // mid-packet and may be resumed and ended at a later checkpoint.
+  auto make_span = [&](std::int64_t first) {
+    auto span = std::make_shared<Span>();
+    span->delay = delay;
+    // Runts, packets that fill the FIFO exactly to the line (their end
+    // mark crosses it), and longer ones.
+    const int kind = static_cast<int>(uniform(0, 9));
+    auto bytes = static_cast<std::uint32_t>(
+        kind == 0   ? uniform(1, 3)
+        : kind == 1 ? line
+                    : uniform(line / 2, std::min<std::int64_t>(
+                                            2 * capacity + 16, 5000)));
+    std::uint32_t offset = 0;
+    std::int64_t index = first;
+    for (int r = 0; offset < bytes; ++r) {
+      auto n = static_cast<std::uint32_t>(
+          r == 3 ? bytes - offset : uniform(1, bytes - offset));
+      Simulator::StepKey key =
+          SteppingFrom(DataSlotStart(index - 1), DataSlotStart(index),
+                       static_cast<std::uint64_t>(r));
+      span->runs.push_back(ByteRun{offset, n, index, key});
+      offset += n;
+      index += n + uniform(1, line + 8);
+    }
+    if (chance(85)) {
+      span->ended = true;
+      const ByteRun& last = span->runs.back();
+      span->end_at =
+          DataSlotStart(last.index + last.count - 1 + uniform(1, 3));
+    }
+    return span;
+  };
+
+  PortFifo fifo(capacity);
+  PortFifo stepped(capacity);
+  SymbolFifo model(capacity);
+  auto push = [&](std::int64_t first) {
+    SpanRef span = make_span(first);
+    PacketRef pkt = DataPacket(ShortAddress(1), ShortAddress(2));
+    fifo.PushBegin(pkt, span);
+    stepped.PushBegin(pkt, span);
+    model.PushBegin(span);
+    return span;
+  };
+  SpanRef span = push(uniform(0, 40));
+  int pushed = 1;
+  // Start the drain first when about `line` bytes are in, so that
+  // cut-through holds the occupancy at the line.
+  Tick hover = chance(70) ? span->ArrivalOf(static_cast<std::uint32_t>(
+                                std::clamp<std::int64_t>(
+                                    line + uniform(-4, 4), 0,
+                                    span->planned() - 1)))
+                          : -1;
+  bool draining = false;
+  bool held = false;
+  Tick t = 0;
+  bool inclusive = false;
+  int checkpoint = 0;
+  for (; checkpoint < 400 && !(fifo.empty() && pushed == packets);
+       ++checkpoint) {
+    std::ostringstream where;
+    where << "capacity " << capacity << " delay " << delay << " packets "
+          << packets << " checkpoint " << checkpoint << " at " << t;
+    // A switch watches for readiness only while the head is not ready.
+    bool want_ready = !fifo.HeadCaptureReady() && chance(50);
+    PortFifo::Outlook outlook = fifo.Look(want_ready, 0);
+    LookState look = LookOf(outlook);
+    EXPECT_EQ(look, LookOf(model.Look(want_ready))) << where.str();
+    EXPECT_EQ(LookOf(stepped.Look(want_ready, 0)), look) << where.str();
+    if (::testing::Test::HasFailure()) {
+      return checkpoint;
+    }
+
+    // The next checkpoint: an instant Look found, the line crossing set up
+    // above, or a random step.
+    Tick soonest = std::min({outlook.flip.at, outlook.ready.at,
+                             outlook.done.at, outlook.tail.at});
+    if (fifo.receiving() && span->ended) {
+      soonest = std::min(soonest, span->end_at + delay);  // end mark lands
+    }
+    Tick next;
+    if (!draining && hover > t) {
+      next = hover;
+      inclusive = true;
+    } else if (soonest != PortFifo::kNever && chance(40)) {
+      next = soonest;
+      inclusive = true;
+    } else {
+      const std::int64_t reach[] = {2, 50, static_cast<std::int64_t>(capacity)};
+      next = t + uniform(1, reach[uniform(0, 2)] * kSlotNs);
+      inclusive = chance(70);
+    }
+    for (std::int64_t i = DataIndexAfter(t); DataSlotStart(i) < next; ++i) {
+      stepped.Settle(DataSlotStart(i), /*inclusive=*/true);
+    }
+    t = next;
+    fifo.Settle(t, inclusive);
+    stepped.Settle(t, inclusive);
+    model.Settle(t, inclusive);
+    where << " -> " << t << (inclusive ? " inclusive" : "");
+    EXPECT_EQ(StateOf(fifo), StateOf(model)) << where.str();
+    EXPECT_EQ(StateOf(stepped), StateOf(fifo)) << where.str();
+    if (::testing::Test::HasFailure()) {
+      return checkpoint;
+    }
+
+    // Act on what settled, as a switch would.
+    if (fifo.drain_done()) {
+      fifo.TakeDoneHead();
+      stepped.TakeDoneHead();
+      model.TakeDoneHead();
+      draining = false;
+    }
+    if (fifo.receiving() && !span->ended && chance(20) &&
+        t >= span->ArrivalOf(span->planned() - 1)) {
+      // The sender resumes the packet (a plan revised in the future).
+      std::int64_t index = DataIndexAfter(t) + uniform(0, 20);
+      std::uint32_t n = static_cast<std::uint32_t>(uniform(1, line + 8));
+      span->runs.push_back(ByteRun{span->planned(), n, index,
+                                   SteppingFrom(t, DataSlotStart(index), 9)});
+      span->ended = true;
+      span->end_at = DataSlotStart(index + n);
+    }
+    if (!fifo.receiving() && pushed < packets) {
+      span = push(DataIndexAfter(t) + uniform(0, 20));
+      ++pushed;
+    }
+    Tick first = DataSlotStart(DataIndexAfter(t) + uniform(0, 2));
+    if (!draining && fifo.HasHead() && (t == hover || chance(30))) {
+      Simulator::StepKey key =
+          SteppingFrom(t, first, static_cast<std::uint64_t>(uniform(0, 9)));
+      fifo.StartDrain(first, t, key);
+      stepped.StartDrain(first, t, key);
+      model.StartDrain(first, t, key);
+      draining = true;
+      held = false;
+    } else if (draining && !held && chance(10)) {
+      fifo.HoldDrain();
+      stepped.HoldDrain();
+      model.HoldDrain();
+      held = true;
+    } else if (draining && held && chance(30)) {
+      fifo.ResumeDrain(first, t);
+      stepped.ResumeDrain(first, t);
+      model.ResumeDrain(first, t);
+      held = false;
+    }
+  }
+  return checkpoint;
+}
+
+TEST(PortFifo, StretchesMatchAPerSymbolModel) {
+  std::mt19937_64 rng(16);
+  int checkpoints = 0;
+  for (std::size_t capacity : {16u, 64u, 4096u}) {
+    for (int kind = 0; kind < 3; ++kind) {
+      for (int packets = 1; packets <= 2; ++packets) {
+        for (int rep = 0; rep < 40; ++rep) {
+          // Below one slot, beyond it, and whole slots (0 included).
+          Tick delay = kind == 0   ? std::uniform_int_distribution<Tick>(
+                                         1, kSlotNs - 1)(rng)
+                       : kind == 1 ? std::uniform_int_distribution<Tick>(
+                                         kSlotNs + 1, 40 * kSlotNs)(rng)
+                                   : kSlotNs * (rep % 4);
+          checkpoints += CompareWithSymbolModel(rng, capacity, delay, packets);
+          if (HasFailure()) {
+            return;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checkpoints, 5000);
 }
 
 // Records the spans arriving at the far end of a switch output.
